@@ -2,14 +2,19 @@
 
 Three conventions are fixed here and relied on everywhere else:
 
-* QR uses Householder reflections followed by a sign pass so the diagonal of
-  r is non-negative (strictly positive for invertible input, where the
-  factorization is unique).
+* QR is LAPACK's Householder QR (geqrf + orgqr through numpy) followed by a
+  sign pass so the diagonal of r is non-negative (strictly positive for
+  invertible input, where the factorization is unique). qr_factor_mgs is an
+  independent Gram-Schmidt loop kept as the uniqueness oracle.
 * Cholesky clamps pivots within structural tolerance of zero, extending the
-  factorization to the semi-definite closure.
+  factorization to the semi-definite closure. LAPACK's potrf handles inputs
+  that are positive definite by a margin; the clamping loop is the fallback
+  for everything else and the only path that refuses an input.
 * LDU is Gaussian elimination without pivoting: pivoting would compute a
   different map. Its domain is exactly the matrices whose leading principal
-  blocks are invertible.
+  blocks are invertible. The elimination is blocked right-looking, as in
+  LAPACK's getrf without the row interchanges: panels of _LDU_PANEL columns,
+  one matmul per panel for the trailing update.
 """
 
 from __future__ import annotations
@@ -27,6 +32,10 @@ from .core import (
 )
 from .errors import NotInDomainP, NotPositiveSemiDefinite, NotSymmetric, SingularInput
 
+# Column panel width of the blocked LDU elimination. Up to this size the whole
+# matrix is one panel and the elimination is one rank-1 update per pivot.
+_LDU_PANEL = 32
+
 __all__ = [
     "qr_factor",
     "qr_factor_mgs",
@@ -42,31 +51,18 @@ def qr_factor(a, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> QRPair:
     """Factor a square matrix as q @ r, q orthogonal, r upper triangular with
     non-negative diagonal.
 
-    Total on square inputs, singular ones included. Householder reflections
-    (reflector sign chosen to avoid cancellation) give q and r; a final sign
-    pass flips rows of r and the matching columns of q wherever a diagonal
-    entry of r is negative. For invertible input the result is the unique
-    pair with positive diagonal; for singular input only the product is
-    contractual, with determinism fixed by the reflector sign convention.
+    Total on square inputs, singular ones included. LAPACK's Householder QR
+    gives q and r; a final sign pass flips rows of r and the matching columns
+    of q wherever a diagonal entry of r is negative. For invertible input the
+    result is the unique pair with positive diagonal. For singular input only
+    the product is contractual. The convention is that of LAPACK's reflector:
+    a sub-column x with leading entry alpha is mapped to beta = -sign(alpha)
+    ||x||, a zero sub-column gets the identity reflector, and the sign pass
+    follows. Where roundoff leaves a nonzero trailing block, the columns of q
+    spanning the complement of the range follow that roundoff.
     """
     a = validate_matrix(a, "a")
-    n = a.shape[0]
-    r = a.copy()
-    q = np.eye(n)
-    for j in range(n - 1):
-        x = r[j:, j]
-        norm_x = float(np.linalg.norm(x))
-        if norm_x == 0.0:
-            continue
-        v = x.copy()
-        v[0] += np.copysign(norm_x, x[0])
-        vtv = float(v @ v)
-        if vtv == 0.0:
-            continue
-        beta = 2.0 / vtv
-        r[j:, :] -= np.outer(beta * v, v @ r[j:, :])
-        q[:, j:] -= np.outer(q[:, j:] @ v, beta * v)
-    r = np.triu(r)
+    q, r = np.linalg.qr(a)
     neg = np.diag(r) < 0.0
     if np.any(neg):
         r[neg, :] = -r[neg, :]
@@ -116,6 +112,11 @@ def cholesky_factor(a, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> CholeskyFac
     positive pivots throughout mean the input was positive definite and the
     factor is the unique one with positive diagonal.
 
+    LAPACK's potrf factors the input first; its factor is returned when every
+    squared pivot exceeds the clamp threshold. Otherwise (potrf refuses, or a
+    pivot is small enough to clamp) the clamping loop factors the input and
+    gives every verdict and failing pivot index.
+
     Raises NotSymmetric or NotPositiveSemiDefinite (with the pivot index).
     """
     a = validate_matrix(a, "a")
@@ -125,6 +126,15 @@ def cholesky_factor(a, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> CholeskyFac
     w = 0.5 * (a + a.T)
     n = a.shape[0]
     struct = cfg.structural_tol * scale
+    try:
+        l = np.linalg.cholesky(w)
+    except np.linalg.LinAlgError:
+        pass
+    else:
+        # every pivot clears the clamp threshold, so the loop below would
+        # take the unclamped branch throughout
+        if float(np.min(np.diag(l))) ** 2 > struct:
+            return CholeskyFactor(l, cfg)
     l = np.zeros((n, n))
     for j in range(n):
         pivot = float(w[j, j] - l[j, :j] @ l[j, :j])
@@ -152,35 +162,37 @@ def ldu_factor(a, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> LDUTriple:
 
     Raises NotInDomainP carrying the 1-based index of the first failing pivot.
     """
-    a = validate_matrix(a, "a")
-    n = a.shape[0]
-    thresh = cfg.singularity_tol * (1.0 + hs_norm(a))
-    work = a.copy()
-    l = np.eye(n)
-    u = np.eye(n)
-    d = np.zeros(n)
-    for k in range(n):
-        p = float(work[k, k])
-        if abs(p) <= thresh:
-            raise NotInDomainP(k + 1)
-        d[k] = p
-        l[k + 1:, k] = work[k + 1:, k] / p
-        u[k, k + 1:] = work[k, k + 1:] / p
-        work[k + 1:, k + 1:] -= np.outer(l[k + 1:, k], work[k, k + 1:])
-    return LDUTriple(l, np.diag(d), u, cfg)
+    # eliminated in place: multipliers of l below the diagonal, the pivots on
+    # it, and the rows of d @ u above it
+    work = validate_matrix(a, "a")
+    n = work.shape[0]
+    thresh = cfg.singularity_tol * (1.0 + hs_norm(work))
+    for k0 in range(0, n, _LDU_PANEL):
+        k1 = min(k0 + _LDU_PANEL, n)
+        for k in range(k0, k1):
+            p = float(work[k, k])
+            if abs(p) <= thresh:
+                raise NotInDomainP(k + 1)
+            col = work[k + 1:, k]
+            col /= p
+            # within the panel: its columns in every row below, and its rows
+            # in the columns right of it
+            work[k + 1:, k + 1:k1] -= col[:, None] * work[k, k + 1:k1]
+            if k1 < n:
+                work[k + 1:k1, k1:] -= col[:k1 - k - 1, None] * work[k, k1:]
+        if k1 < n:
+            work[k1:, k1:] -= work[k1:, k0:k1] @ work[k0:k1, k1:]
+    d = np.diag(work)
+    return LDUTriple(work, np.diag(d), np.triu(work, 1) / d[:, None], cfg)
 
 
 def in_domain_p(a, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> bool:
     """True when every elimination pivot clears the singularity threshold,
     i.e. all leading principal blocks are numerically invertible."""
-    a = validate_matrix(a, "a")
-    thresh = cfg.singularity_tol * (1.0 + hs_norm(a))
-    work = a.copy()
-    for k in range(a.shape[0]):
-        p = float(work[k, k])
-        if abs(p) <= thresh:
-            return False
-        work[k + 1:, k + 1:] -= np.outer(work[k + 1:, k] / p, work[k, k + 1:])
+    try:
+        ldu_factor(a, cfg)
+    except NotInDomainP:
+        return False
     return True
 
 

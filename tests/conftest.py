@@ -3,8 +3,15 @@
 from dataclasses import replace
 
 import numpy as np
+from hypothesis import settings
 
 from factordiff import DEFAULT_TOLERANCES, hs_norm, in_domain_p
+
+# Property tests replay the same examples on every run (a failure reproduces
+# without a saved database), and no example fails for running slowly on a
+# busy host.
+settings.register_profile("factordiff", derandomize=True, deadline=None, database=None)
+settings.load_profile("factordiff")
 
 
 def random_square(rng, n):
@@ -32,6 +39,13 @@ def random_spd(rng, n, shift=1e-3):
 def random_symmetric(rng, n):
     e = random_square(rng, n)
     return 0.5 * (e + e.T)
+
+
+def random_diag_shifted(rng, n):
+    """Square input shifted by sqrt(n) I: the eigenvalues of the uniform part
+    lie within about sqrt(n / 3) of zero, so every leading block stays well
+    conditioned at any n."""
+    return random_square(rng, n) + np.sqrt(n) * np.eye(n)
 
 
 def random_in_p(rng, n, margin=1e-2):

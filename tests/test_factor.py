@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
 from conftest import (
+    random_diag_shifted,
     random_in_p,
     random_invertible,
     random_rank_deficient,
     random_spd,
     random_square,
 )
+from reference_kernels import factor_tol, ldu_unblocked, qr_householder
 
 from factordiff import (
     DEFAULT_TOLERANCES,
@@ -67,6 +69,31 @@ class TestQRFactor:
             assert hs_norm(pair.product() - a) <= TOL.structural_tol * (1.0 + hs_norm(a))
             assert orthogonality_defect(pair.q) <= TOL.structural_tol * (1.0 + hs_norm(pair.q))
             assert np.min(np.diag(pair.r)) >= -TOL.structural_tol * (1.0 + hs_norm(pair.r))
+
+
+class TestQRSingularConvention:
+    """On singular input only q @ r is contractual; these inputs pin the
+    reflector and sign-pass convention against the Householder loop. Each
+    leaves an exactly zero trailing block, so no later reflector direction
+    is set by roundoff."""
+
+    @pytest.mark.parametrize(
+        "a",
+        [
+            np.zeros((3, 3)),
+            np.array([[0.0, 1.0, 2.0], [0.0, 3.0, 4.0], [0.0, 5.0, 6.0]]),
+            np.outer([3.0, 4.0, 0.0], [1.0, 2.0, -1.0]),
+            np.array([[1.0, 0.0], [0.0, 0.0]]),
+            np.array([[-2.0, 1.0, 3.0], [0.0, 4.0, 1.0], [0.0, 2.0, 5.0]]),
+        ],
+        ids=["zero", "zero-column", "rank-1", "e11", "negative-diagonal-zero-subcolumn"],
+    )
+    def test_matches_householder_loop(self, a):
+        pair = qr_factor(a)
+        q_ref, r_ref = qr_householder(a)
+        tol = 1e-15 * (1.0 + hs_norm(a))
+        assert hs_norm(pair.q - q_ref) <= tol
+        assert hs_norm(pair.r - r_ref) <= tol
 
 
 class TestQRFactorMGS:
@@ -155,6 +182,33 @@ class TestCholeskyFactor:
         assert (np.trace(prod) ** 2) / 2 == pytest.approx(40.5, abs=1e-12)
 
 
+class TestCholeskyFallback:
+    def test_tiny_pivot_still_clamps(self):
+        fac = cholesky_factor(np.diag([1.0, 1e-14]))
+        assert fac.l[1, 1] == 0.0
+
+    def test_rank_deficient_takes_clamping_path(self):
+        rng = np.random.default_rng(89)
+        n, k = 40, 25
+        m = rng.uniform(-1.0, 1.0, (k, n))
+        a = m.T @ m
+        a = 0.5 * (a + a.T)
+        fac = cholesky_factor(a)
+        # only the clamping loop stores exact zeros on the diagonal
+        assert int(np.sum(np.diag(fac.l) == 0.0)) == n - k
+        assert hs_norm(fac.product() - a) <= TOL.structural_tol * (1.0 + hs_norm(a))
+
+    @pytest.mark.parametrize("k", [1, 20, 33, 40])
+    def test_indefinite_reports_first_failing_pivot(self, k):
+        # the leading (k-1)-block stays positive definite; a negative
+        # diagonal entry at (k, k) drives pivot k below zero
+        a = random_spd(np.random.default_rng(97), 40)
+        a[k - 1, k - 1] = -1.0
+        with pytest.raises(NotPositiveSemiDefinite) as info:
+            cholesky_factor(a)
+        assert info.value.k == k
+
+
 class TestLDUFactor:
     def test_identity(self):
         trip = ldu_factor(np.eye(3))
@@ -221,6 +275,53 @@ class TestLDUFactor:
             ladder = np.cumprod(np.diag(trip.d))
             for dk, pk in zip(dets, ladder):
                 assert abs(dk - pk) <= 1e-8 * max(abs(dk), abs(pk))
+
+
+AGREEMENT_SIZES = [1, 2, 31, 32, 33, 64, 65, 128, 200]
+
+
+class TestReferenceAgreement:
+    """The library kernels against the loops they replaced (tests/reference_kernels.py)."""
+
+    @pytest.mark.parametrize("n", AGREEMENT_SIZES)
+    def test_ldu_matches_unblocked_elimination(self, n):
+        a = random_diag_shifted(np.random.default_rng([101, n]), n)
+        trip = ldu_factor(a)
+        l_ref, d_ref, u_ref = ldu_unblocked(a)
+        pairs = ((trip.l, l_ref), (np.diag(trip.d), d_ref), (trip.u, u_ref))
+        if n <= 32:
+            # one panel: the same arithmetic in the same order
+            for got, ref in pairs:
+                assert np.array_equal(got, ref)
+        else:
+            for got, ref in pairs:
+                assert hs_norm(got - ref) <= factor_tol(n, hs_norm(ref))
+
+    @pytest.mark.parametrize("n", AGREEMENT_SIZES)
+    def test_qr_matches_householder_loop(self, n):
+        a = random_invertible(np.random.default_rng([103, n]), n)
+        pair = qr_factor(a)
+        q_ref, r_ref = qr_householder(a)
+        kappa = hs_norm(r_ref) * hs_norm(np.linalg.inv(r_ref))
+        assert hs_norm(pair.q - q_ref) <= kappa * factor_tol(n, hs_norm(q_ref))
+        assert hs_norm(pair.r - r_ref) <= kappa * factor_tol(n, hs_norm(r_ref))
+
+    @pytest.mark.parametrize("k", [1, 2, 32, 33, 40, 65])
+    def test_not_in_domain_index_is_exact(self, k):
+        a = random_diag_shifted(np.random.default_rng([107, k]), 80)
+        if k == 1:
+            a[0, 0] = 0.0
+        else:
+            # rows k-1 and k of the leading k-block coincide: that block is
+            # singular while the leading (k-1)-block is untouched
+            a[k - 1, :k] = a[k - 2, :k]
+        with pytest.raises(NotInDomainP) as info:
+            ldu_factor(a)
+        assert info.value.k == k
+        with pytest.raises(NotInDomainP) as ref:
+            ldu_unblocked(a)
+        assert ref.value.k == k
+        assert not in_domain_p(a)
 
 
 class TestLeadingMinorDets:
