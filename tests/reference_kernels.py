@@ -75,3 +75,9 @@ def factor_tol(n, norm):
     the difference of two such error terms with a margin. Callers multiply in
     a condition number where the input may be ill-conditioned."""
     return 16.0 * n * EPS * (1.0 + norm)
+
+
+def cond_f(a):
+    """Frobenius-norm condition number ||a||_F ||a^-1||_F, the first-order
+    sensitivity of each factor to a relative perturbation of a."""
+    return hs_norm(a) * hs_norm(np.linalg.inv(a))
