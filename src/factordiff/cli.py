@@ -34,7 +34,7 @@ from .frechet import (
     qr_derivative_apply,
     qr_derivative_solve,
 )
-from .matrixio import load_matrix, save_matrix
+from .matrixio import _FMT, load_matrix, save_matrix
 from .newton import PathSpec, track_cholesky, track_ldu, track_qr
 from .verify import results_to_json, run_all
 
@@ -43,8 +43,6 @@ EXIT_IO = 1
 EXIT_DOMAIN = 2
 EXIT_NUMERICAL = 3
 EXIT_VERIFY = 4
-
-_FMT = "{:.17g}"
 
 
 def _write_components(prefix: str, fmt: str, components: dict) -> None:

@@ -12,12 +12,20 @@ solve routines invert it by reducing to a structural split:
 
 No explicit inverse is ever formed; every r^-1, l^-1, u^-1, d^-1 is a
 triangular or diagonal solve.
+
+Every triangular solve goes through `solve_triangular`, which calls numpy's
+LAPACK gesv, so numpy's OpenBLAS is the only BLAS the package loads. On an
+upper-triangular t with a nonzero diagonal, gesv's partial pivoting finds
+only zeros below each pivot: getrf swaps no rows, its multipliers are exactly
+zero and its U is t itself, so getrs reduces to back substitution. A lower t
+is solved as the upper system with its rows and columns reversed, so it is
+never pivoted either. Each solve routine checks the diagonal against the
+singularity threshold before it solves.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .core import (
     DEFAULT_TOLERANCES,
@@ -69,11 +77,18 @@ def _require_diagonal(m: np.ndarray, name: str) -> None:
         raise ShapeError(f"{name} must be diagonal")
 
 
-def _solve_right_triangular(c, r, lower=False, unit_diagonal=False):
+def solve_triangular(t, c, lower=False):
+    """x with t @ x = c for triangular t with a nonzero diagonal. A lower t
+    is solved as t[::-1, ::-1] @ x[::-1] = c[::-1], which is upper
+    triangular."""
+    if lower:
+        return np.linalg.solve(t[::-1, ::-1], c[::-1])[::-1]
+    return np.linalg.solve(t, c)
+
+
+def _solve_right_triangular(c, r, lower=False):
     # x @ r = c, solved as r^T x^T = c^T
-    return solve_triangular(
-        r, c.T, trans="T", lower=lower, unit_diagonal=unit_diagonal, check_finite=False
-    ).T
+    return solve_triangular(r.T, c.T, lower=not lower).T
 
 
 def qr_derivative_apply(q, r, tan: QRTangent) -> np.ndarray:
@@ -137,8 +152,8 @@ def cholesky_derivative_solve(l, e, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -
         raise SingularL("l has a diagonal entry below the singularity threshold")
     if hs_norm(e - e.T) > cfg.structural_tol * (1.0 + hs_norm(e)):
         raise NotSymmetric("e is not symmetric within structural tolerance")
-    y = solve_triangular(l, e, lower=True, check_finite=False)
-    m = solve_triangular(l, y.T, lower=True, check_finite=False).T
+    y = solve_triangular(l, e, lower=True)
+    m = solve_triangular(l, y.T, lower=True).T
     m = 0.5 * (m + m.T)  # the two solves break exact symmetry at roundoff
     return l @ sym_to_lower(m, cfg)
 
@@ -180,8 +195,8 @@ def ldu_derivative_solve(l, d, u, e, cfg: ToleranceConfig = DEFAULT_TOLERANCES) 
     # absolute threshold: blow-up base points mix tiny and huge entries in d
     if float(np.min(np.abs(dvec))) <= cfg.singularity_tol:
         raise SingularD("d has a diagonal entry below the singularity threshold")
-    y = solve_triangular(l, e, lower=True, unit_diagonal=True, check_finite=False)
-    m = _solve_right_triangular(y, u, lower=False, unit_diagonal=True)
+    y = solve_triangular(l, e, lower=True)
+    m = _solve_right_triangular(y, u)
     ml, md, mu = split_lower_diag_upper(m)
     a = (l @ ml) / dvec[None, :]
     b = (mu / dvec[:, None]) @ u

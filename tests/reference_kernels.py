@@ -81,3 +81,16 @@ def cond_f(a):
     """Frobenius-norm condition number ||a||_F ||a^-1||_F, the first-order
     sensitivity of each factor to a relative perturbation of a."""
     return hs_norm(a) * hs_norm(np.linalg.inv(a))
+
+
+def substitute(t, c, lower=False):
+    """x with t @ x = c for triangular t, one row per step: forward
+    substitution for lower t, back substitution for upper t. Reads only the
+    diagonal and the named triangle of t."""
+    t = np.asarray(t, dtype=np.float64)
+    x = np.array(c, dtype=np.float64)
+    n = t.shape[0]
+    for i in range(n) if lower else range(n - 1, -1, -1):
+        done = slice(0, i) if lower else slice(i + 1, n)
+        x[i] = (x[i] - t[i, done] @ x[done]) / t[i, i]
+    return x

@@ -1,3 +1,6 @@
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from conftest import (
@@ -7,6 +10,7 @@ from conftest import (
     random_square,
     random_symmetric,
 )
+from reference_kernels import EPS, substitute
 
 from factordiff import (
     BaseMismatch,
@@ -30,6 +34,7 @@ from factordiff import (
     qr_derivative_solve,
     qr_factor,
 )
+from factordiff.frechet import _solve_right_triangular, solve_triangular
 
 FD_STEP = DEFAULT_TOLERANCES.fd_step
 
@@ -250,3 +255,95 @@ class TestFiniteDifferenceConsistency:
             assert hs_norm((plus.l - minus.l) / (2 * h) - tan.a) <= 5e-5 * cond ** 2
             assert hs_norm((plus.d - minus.d) / (2 * h) - tan.s) <= 5e-5 * cond ** 2
             assert hs_norm((plus.u - minus.u) / (2 * h) - tan.b) <= 5e-5 * cond ** 2
+
+
+def triangular(rng, n, lower, diag):
+    """(I + N) @ diag(dvec) for N strictly triangular with entries in
+    (-1, 1) / n. Then ||N||_2 <= ||N||_F < 0.71, so ||t|| ||t^-1|| is less
+    than 6 times the diagonal ratio cond_estimate(t)."""
+    full = rng.uniform(-1.0, 1.0, (n, n))
+    part = np.tril(full, -1) if lower else np.triu(full, 1)
+    signs = rng.choice([-1.0, 1.0], n)
+    dvec = {
+        "unit": np.ones(n),
+        "well": signs * rng.uniform(1.0, 2.0, n),
+        "graded": signs * np.logspace(0.0, -8.0, n),
+    }[diag]
+    return (np.eye(n) + part / n) * dvec[None, :]
+
+
+def solve_tol(t):
+    """Budget for the Frobenius distance between two orderings of one
+    triangular solve, relative to ||x||_F: each entry of x takes about n
+    roundings, amplified by the conditioning of t; 16 covers the factor 6
+    of `triangular` and the difference of two such errors."""
+    return 16.0 * len(t) * EPS * cond_estimate(t)
+
+
+def pivot_bait(rng, n, lower):
+    """Triangular t with diagonal entries +-1 or +-2 and an integer strict
+    triangle of magnitude 3..9. Every off-diagonal entry outweighs the
+    diagonal, so partial pivoting on t, or on its transpose, would swap rows
+    and bring in multipliers such as 2/9 that round. Substitution on t with
+    an integer right side only forms integer products and halves, which is
+    exact in double precision at these sizes, in any order."""
+    off = rng.choice([-1.0, 1.0], (n, n)) * rng.integers(3, 10, (n, n))
+    off = np.tril(off, -1) if lower else np.triu(off, 1)
+    return off + np.diag(rng.choice([-2.0, -1.0, 1.0, 2.0], n))
+
+
+class TestSolveTriangular:
+    """The triangular solves inside the derivative solves against plain
+    forward/back substitution (tests/reference_kernels.py)."""
+
+    @pytest.mark.parametrize("n", [1, 2, 33, 128])
+    @pytest.mark.parametrize("diag", ["well", "graded", "unit"])
+    @pytest.mark.parametrize("lower", [False, True])
+    def test_left_matches_substitution(self, n, diag, lower):
+        rng = np.random.default_rng(131 + n)
+        t = triangular(rng, n, lower, diag)
+        c = rng.uniform(-1.0, 1.0, (n, 3))
+        want = substitute(t, c, lower)
+        got = solve_triangular(t, c, lower=lower)
+        assert hs_norm(got - want) <= solve_tol(t) * hs_norm(want)
+
+    @pytest.mark.parametrize("n", [1, 2, 33, 128])
+    @pytest.mark.parametrize("diag", ["well", "graded", "unit"])
+    @pytest.mark.parametrize("lower", [False, True])
+    def test_right_matches_substitution(self, n, diag, lower):
+        rng = np.random.default_rng(137 + n)
+        r = triangular(rng, n, lower, diag)
+        c = rng.uniform(-1.0, 1.0, (3, n))
+        want = substitute(r.T, c.T, not lower).T
+        got = _solve_right_triangular(c, r, lower=lower)
+        assert hs_norm(got - want) <= solve_tol(r) * hs_norm(want)
+
+    @pytest.mark.parametrize("n", [2, 5, 8])
+    @pytest.mark.parametrize("lower", [False, True])
+    def test_no_pivoting(self, n, lower):
+        rng = np.random.default_rng(139 + n)
+        t = pivot_bait(rng, n, lower)
+        c = rng.integers(-9, 10, (n, 3)).astype(float)
+        assert np.array_equal(solve_triangular(t, c, lower=lower), substitute(t, c, lower))
+        assert np.array_equal(
+            _solve_right_triangular(c.T, t, lower=lower), substitute(t.T, c, not lower).T
+        )
+
+
+def test_tracking_loads_no_scipy():
+    """numpy's OpenBLAS is the only BLAS in use: importing factordiff and
+    tracking each map imports no scipy module. It runs in a fresh
+    interpreter, because pytest plugins may have imported scipy here."""
+    code = "\n".join([
+        "import sys",
+        "import numpy as np",
+        "import factordiff as fd",
+        "b = np.arange(9.0).reshape(3, 3) / 40.0",
+        "fd.track_qr(fd.PathSpec(lambda t: np.eye(3) + t * b, steps=4))",
+        "fd.track_cholesky(fd.PathSpec(lambda t: np.eye(3) + t * (b + b.T), steps=4))",
+        "fd.track_ldu(fd.PathSpec(lambda t: np.eye(3) + t * b, steps=4))",
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))",
+    ])
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
