@@ -25,17 +25,8 @@ from .errors import (
     NoConvergence,
     PathLeavesDomain,
 )
-from .factor import cholesky_factor, ldu_factor, qr_factor
-from .frechet import (
-    cholesky_derivative_apply,
-    cholesky_derivative_solve,
-    ldu_derivative_apply,
-    ldu_derivative_solve,
-    qr_derivative_apply,
-    qr_derivative_solve,
-)
 from .matrixio import _FMT, load_matrix, save_matrix
-from .newton import PathSpec, track_cholesky, track_ldu, track_qr
+from .newton import _MAPS, PathSpec, _track
 from .verify import results_to_json, run_all
 
 EXIT_OK = 0
@@ -53,38 +44,20 @@ def _write_components(prefix: str, fmt: str, components: dict) -> None:
 
 def _cmd_factor(args) -> int:
     a = load_matrix(args.input, args.format)
-    if args.kind == "qr":
-        pair = qr_factor(a)
-        components = {"q": pair.q, "r": pair.r}
-    elif args.kind == "cholesky":
-        components = {"l": cholesky_factor(a).l}
-    else:
-        fac = ldu_factor(a)
-        components = {"l": fac.l, "d": fac.d, "u": fac.u}
-    _write_components(args.output, args.format, components)
+    m = _MAPS[args.kind]
+    fac = m.factor(a, DEFAULT_TOLERANCES)
+    _write_components(args.output, args.format, dict(zip(m.names, m.parts(fac))))
     return EXIT_OK
 
 
 def _cmd_derivative(args) -> int:
     a = load_matrix(args.input, args.format)
     e = load_matrix(args.perturbation, args.format)
-    if args.kind == "qr":
-        pair = qr_factor(a)
-        tan = qr_derivative_solve(pair.q, pair.r, e)
-        recombined = qr_derivative_apply(pair.q, pair.r, tan)
-        components = {"u": tan.u, "v": tan.v}
-    elif args.kind == "cholesky":
-        fac = cholesky_factor(a)
-        v = cholesky_derivative_solve(fac.l, e)
-        recombined = cholesky_derivative_apply(fac.l, v)
-        components = {"v": v}
-    else:
-        fac = ldu_factor(a)
-        tan = ldu_derivative_solve(fac.l, fac.d, fac.u, e)
-        recombined = ldu_derivative_apply(fac.l, fac.d, fac.u, tan)
-        components = {"a": tan.a, "s": tan.s, "b": tan.b}
-    residual = hs_norm(recombined - e)
-    _write_components(args.output, args.format, components)
+    m = _MAPS[args.kind]
+    base = m.parts(m.factor(a, DEFAULT_TOLERANCES))
+    tan = m.solve(*base, e, DEFAULT_TOLERANCES)
+    residual = hs_norm(m.apply(*base, tan) - e)
+    _write_components(args.output, args.format, dict(zip(m.tangent_names, m.tangent(tan))))
     with open(f"{args.output}_residual.txt", "w", encoding="utf-8") as fh:
         fh.write(_FMT.format(residual) + "\n")
     print(f"residual={_FMT.format(residual)}")
@@ -96,43 +69,32 @@ def _cmd_derivative(args) -> int:
 
 def _build_path(args) -> PathSpec:
     samples = [load_matrix(p, args.format) for p in args.input]
-    if args.family == "linear":
-        if len(samples) != 2:
-            raise ValueError("linear family needs exactly two matrix files (start, end)")
-        a0, a1 = samples
-        if a0.shape != a1.shape:
-            raise ValueError("family endpoints must have the same dimension")
-
-        def evaluate(t: float) -> np.ndarray:
-            return (1.0 - t) * a0 + t * a1
-
-        return PathSpec(evaluate=evaluate, steps=args.steps, description="linear family")
+    if args.family == "linear" and len(samples) != 2:
+        raise ValueError("linear family needs exactly two matrix files (start, end)")
     if len(samples) < 2:
         raise ValueError("custom-samples family needs at least two matrix files")
     if any(s.shape != samples[0].shape for s in samples):
         raise ValueError("family samples must share one dimension")
 
+    # piecewise linear through the samples; two samples give (1 - t) a0 + t a1
     def evaluate(t: float) -> np.ndarray:
         pos = t * (len(samples) - 1)
         i = min(int(pos), len(samples) - 2)
         w = pos - i
         return (1.0 - w) * samples[i] + w * samples[i + 1]
 
-    return PathSpec(evaluate=evaluate, steps=args.steps, description="piecewise-linear samples")
+    return PathSpec(evaluate=evaluate, steps=args.steps, description=f"{args.family} family")
 
 
 def _cmd_track(args) -> int:
-    path = _build_path(args)
-    tracker = {"qr": track_qr, "cholesky": track_cholesky, "ldu": track_ldu}[args.kind]
-    report = tracker(path)
-    norm_columns = {"qr": ("q", "r"), "cholesky": ("l",), "ldu": ("l", "d", "u")}[args.kind]
-    lines = ["t," + ",".join(f"norm_{c}" for c in norm_columns) + ",newton_iters,residual"]
+    m = _MAPS[args.kind]
+    report = _track(m, _build_path(args), DEFAULT_TOLERANCES)
+    lines = ["t," + ",".join(f"norm_{c}" for c in m.names) + ",newton_iters,residual"]
     for t, fac, iters, residual in zip(
         report.ts, report.factors, report.newton_iters, report.residuals
     ):
-        mats = [getattr(fac, c) for c in norm_columns]
         cells = [_FMT.format(t)]
-        cells += [_FMT.format(hs_norm(m)) for m in mats]
+        cells += [_FMT.format(hs_norm(p)) for p in m.parts(fac)]
         cells.append(str(iters))
         cells.append(_FMT.format(residual))
         lines.append(",".join(cells))
@@ -160,7 +122,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_factor = sub.add_parser("factor", help="factor a matrix read from a file")
-    p_factor.add_argument("--kind", required=True, choices=["qr", "cholesky", "ldu"])
+    p_factor.add_argument("--kind", required=True, choices=list(_MAPS))
     p_factor.add_argument("--input", required=True, help="matrix file")
     p_factor.add_argument("--output", required=True, help="output prefix for factor files")
     p_factor.add_argument("--format", default="csv", choices=["csv", "json"])
@@ -169,7 +131,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_deriv = sub.add_parser(
         "derivative", help="solve the factor sensitivity for a perturbation"
     )
-    p_deriv.add_argument("--kind", required=True, choices=["qr", "cholesky", "ldu"])
+    p_deriv.add_argument("--kind", required=True, choices=list(_MAPS))
     p_deriv.add_argument("--input", required=True, help="base matrix file")
     p_deriv.add_argument("--perturbation", required=True, help="perturbation matrix file")
     p_deriv.add_argument("--output", required=True, help="output prefix for tangent files")
@@ -177,7 +139,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_deriv.set_defaults(handler=_cmd_derivative)
 
     p_track = sub.add_parser("track", help="track factors along a matrix family")
-    p_track.add_argument("--kind", required=True, choices=["qr", "cholesky", "ldu"])
+    p_track.add_argument("--kind", required=True, choices=list(_MAPS))
     p_track.add_argument(
         "--family", default="linear", choices=["linear", "custom-samples"]
     )

@@ -7,12 +7,18 @@ and (for the orthogonal factor) retract back onto the group via the polar
 factor. Tracking advances a factorization along a parametrized family with a
 first-order prediction followed by Newton correction, halving the step (up to
 four times per interval) when a correction fails.
+
+The three maps differ only in their pieces (components, kernel, product,
+derivative solve and apply, update, chart and domain tests), which one
+private table holds per map; one corrector, one predictor and one tracker
+run from it, and so do the CLI and the derivative check in verify.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
-from typing import Callable, List
+from typing import Callable, List, Tuple
 
 import numpy as np
 
@@ -38,8 +44,11 @@ from .errors import (
 )
 from .factor import cholesky_factor, in_domain_p, ldu_factor, qr_factor
 from .frechet import (
+    cholesky_derivative_apply,
     cholesky_derivative_solve,
+    ldu_derivative_apply,
     ldu_derivative_solve,
+    qr_derivative_apply,
     qr_derivative_solve,
 )
 
@@ -83,7 +92,11 @@ class PathSpec:
     def __post_init__(self) -> None:
         if not callable(self.evaluate):
             raise ValueError("evaluate must be callable")
-        if self.steps < 1:
+        try:
+            steps = operator.index(self.steps)
+        except TypeError:
+            raise ValueError("steps must be a positive integer") from None
+        if steps < 1:
             raise ValueError("steps must be a positive integer")
 
 
@@ -128,93 +141,19 @@ def retract_orthogonal(m, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> np.ndarr
     raise NoConvergence("polar retraction did not converge")
 
 
-def qr_newton_correct(
-    a,
-    guess: QRPair,
-    cfg: ToleranceConfig = DEFAULT_TOLERANCES,
-    max_iters: int = 20,
-):
-    """Newton-correct an approximate orthogonal/upper-triangular pair toward
-    the factorization of a.
-
-    Each step solves the derivative equation for the residual a - q @ r,
-    retracts q + u onto the orthogonal group, and adds v to r. Returns the
-    corrected pair and the number of steps taken; a guess already within
-    tolerance comes back unchanged with zero steps.
-
-    Raises NoConvergence after max_iters steps, ConvergedOutsideChart if the
-    diagonal of r turns negative, and propagates SingularR from the solve.
-    """
-    a = validate_matrix(a, "a")
-    q, r = guess.q, guess.r
-    tol = cfg.structural_tol * (1.0 + hs_norm(a))
-    for it in range(max_iters + 1):
-        residual = a - q @ r
-        if hs_norm(residual) <= tol:
-            return QRPair(q, r, cfg), it
-        if it == max_iters:
-            break
-        tan = qr_derivative_solve(q, r, residual, cfg)
-        q = retract_orthogonal(q + tan.u, cfg)
-        r = np.triu(r + tan.v)
-        if np.any(np.diag(r) < 0.0):
-            raise ConvergedOutsideChart("diagonal of r went negative")
-    raise NoConvergence(f"residual above tolerance after {max_iters} iterations")
+def _qr_step(q, r, e, cfg):
+    tan = qr_derivative_solve(q, r, e, cfg)
+    return retract_orthogonal(q + tan.u, cfg), np.triu(r + tan.v)
 
 
-def cholesky_newton_correct(
-    a,
-    guess: CholeskyFactor,
-    cfg: ToleranceConfig = DEFAULT_TOLERANCES,
-    max_iters: int = 20,
-):
-    """Newton-correct an approximate Cholesky factor toward the factorization
-    of the symmetric positive definite matrix a.
-
-    The residual is symmetrized before each solve, since roundoff breaks the
-    exact symmetry the solver requires.
-    """
-    a = validate_matrix(a, "a")
-    a = 0.5 * (a + a.T)
-    l = guess.l
-    tol = cfg.structural_tol * (1.0 + hs_norm(a))
-    for it in range(max_iters + 1):
-        residual = a - l @ l.T
-        if hs_norm(residual) <= tol:
-            return CholeskyFactor(l, cfg), it
-        if it == max_iters:
-            break
-        v = cholesky_derivative_solve(l, 0.5 * (residual + residual.T), cfg)
-        l = l + v
-        if np.any(np.diag(l) < 0.0):
-            raise ConvergedOutsideChart("diagonal of l went negative")
-    raise NoConvergence(f"residual above tolerance after {max_iters} iterations")
+def _cholesky_step(l, e, cfg):
+    # roundoff breaks the exact symmetry the solver requires
+    return (l + cholesky_derivative_solve(l, 0.5 * (e + e.T), cfg),)
 
 
-def ldu_newton_correct(
-    a,
-    guess: LDUTriple,
-    cfg: ToleranceConfig = DEFAULT_TOLERANCES,
-    max_iters: int = 20,
-):
-    """Newton-correct an approximate unit-lower/diagonal/unit-upper triple
-    toward the factorization of a."""
-    a = validate_matrix(a, "a")
-    l, d, u = guess.l, guess.d, guess.u
-    tol = cfg.structural_tol * (1.0 + hs_norm(a))
-    for it in range(max_iters + 1):
-        residual = a - l @ d @ u
-        if hs_norm(residual) <= tol:
-            return LDUTriple(l, d, u, cfg), it
-        if it == max_iters:
-            break
-        tan = ldu_derivative_solve(l, d, u, residual, cfg)
-        l = l + tan.a
-        d = d + tan.s
-        u = u + tan.b
-        if float(np.min(np.abs(np.diag(d)))) <= cfg.singularity_tol:
-            raise ConvergedOutsideChart("diagonal factor lost invertibility")
-    raise NoConvergence(f"residual above tolerance after {max_iters} iterations")
+def _ldu_step(l, d, u, e, cfg):
+    tan = ldu_derivative_solve(l, d, u, e, cfg)
+    return l + tan.a, d + tan.s, u + tan.b
 
 
 def _qr_domain(a: np.ndarray, t: float, cfg: ToleranceConfig) -> None:
@@ -237,32 +176,165 @@ def _ldu_domain(a: np.ndarray, t: float, cfg: ToleranceConfig) -> None:
         raise PathLeavesDomain(t, f"a(t) has a numerically zero leading pivot at t={t:.6g}")
 
 
-def _qr_predict(pair: QRPair, delta: np.ndarray, cfg: ToleranceConfig) -> QRPair:
-    tan = qr_derivative_solve(pair.q, pair.r, delta, cfg)
-    return QRPair(retract_orthogonal(pair.q + tan.u, cfg), pair.r + tan.v, cfg)
+@dataclass(frozen=True)
+class _FactorMap:
+    """One factorization map, as the corrector, the tracker, the CLI and the
+    derivative check use it. Functions take the factor components as
+    separate arrays, in the order of names (tangents in tangent_names)."""
+
+    names: Tuple[str, ...]
+    tangent_names: Tuple[str, ...]
+    container: type
+    symmetric: bool  # products are symmetric, so inputs and residuals are symmetrized
+    factor: Callable  # (a, cfg) -> container
+    product: Callable  # (*parts) -> matrix
+    solve: Callable  # (*parts, e, cfg) -> tangent
+    apply: Callable  # (*parts, tangent) -> matrix
+    tangent: Callable  # tangent -> its components, in tangent_names order
+    step: Callable  # (*parts, e, cfg) -> parts after one solve and update
+    off_chart: Callable  # (*parts, cfg) -> whether a corrector iterate left the chart
+    chart_error: str
+    domain: Callable  # (a, t, cfg) -> None, or raises PathLeavesDomain
+    correct: Callable  # (a, guess, cfg) -> (container, iterations)
+
+    def parts(self, fac) -> tuple:
+        return tuple(getattr(fac, c) for c in self.names)
 
 
-def _cholesky_predict(fac: CholeskyFactor, delta: np.ndarray, cfg: ToleranceConfig) -> CholeskyFactor:
-    v = cholesky_derivative_solve(fac.l, 0.5 * (delta + delta.T), cfg)
-    return CholeskyFactor(fac.l + v, cfg)
+# perfbench/tracing.py wraps the kernels, solves and correctors by replacing
+# them under their module-level names, so every field calls them through that
+# name when it runs. A field holding the function object itself would bypass
+# the wrapper, and the traced counts would read 0.
+_MAPS = {
+    "qr": _FactorMap(
+        names=("q", "r"),
+        tangent_names=("u", "v"),
+        container=QRPair,
+        symmetric=False,
+        factor=lambda a, cfg: qr_factor(a, cfg),
+        product=lambda q, r: q @ r,
+        solve=lambda q, r, e, cfg: qr_derivative_solve(q, r, e, cfg),
+        apply=lambda q, r, tan: qr_derivative_apply(q, r, tan),
+        tangent=lambda tan: (tan.u, tan.v),
+        step=_qr_step,
+        off_chart=lambda q, r, cfg: np.any(np.diag(r) < 0.0),
+        chart_error="diagonal of r went negative",
+        domain=_qr_domain,
+        correct=lambda a, guess, cfg: qr_newton_correct(a, guess, cfg),
+    ),
+    "cholesky": _FactorMap(
+        names=("l",),
+        tangent_names=("v",),
+        container=CholeskyFactor,
+        symmetric=True,
+        factor=lambda a, cfg: cholesky_factor(a, cfg),
+        product=lambda l: l @ l.T,
+        solve=lambda l, e, cfg: cholesky_derivative_solve(l, e, cfg),
+        apply=lambda l, v: cholesky_derivative_apply(l, v),
+        tangent=lambda v: (v,),
+        step=_cholesky_step,
+        off_chart=lambda l, cfg: np.any(np.diag(l) < 0.0),
+        chart_error="diagonal of l went negative",
+        domain=_cholesky_domain,
+        correct=lambda a, guess, cfg: cholesky_newton_correct(a, guess, cfg),
+    ),
+    "ldu": _FactorMap(
+        names=("l", "d", "u"),
+        tangent_names=("a", "s", "b"),
+        container=LDUTriple,
+        symmetric=False,
+        factor=lambda a, cfg: ldu_factor(a, cfg),
+        product=lambda l, d, u: l @ d @ u,
+        solve=lambda l, d, u, e, cfg: ldu_derivative_solve(l, d, u, e, cfg),
+        apply=lambda l, d, u, tan: ldu_derivative_apply(l, d, u, tan),
+        tangent=lambda tan: (tan.a, tan.s, tan.b),
+        step=_ldu_step,
+        off_chart=lambda l, d, u, cfg: float(np.min(np.abs(np.diag(d)))) <= cfg.singularity_tol,
+        chart_error="diagonal factor lost invertibility",
+        domain=_ldu_domain,
+        correct=lambda a, guess, cfg: ldu_newton_correct(a, guess, cfg),
+    ),
+}
 
 
-def _ldu_predict(fac: LDUTriple, delta: np.ndarray, cfg: ToleranceConfig) -> LDUTriple:
-    tan = ldu_derivative_solve(fac.l, fac.d, fac.u, delta, cfg)
-    return LDUTriple(fac.l + tan.a, fac.d + tan.s, fac.u + tan.b, cfg)
+def _correct(m: _FactorMap, a, guess, cfg: ToleranceConfig, max_iters: int):
+    a = validate_matrix(a, "a")
+    if m.symmetric:
+        a = 0.5 * (a + a.T)
+    parts = m.parts(guess)
+    tol = cfg.structural_tol * (1.0 + hs_norm(a))
+    for it in range(max_iters + 1):
+        residual = a - m.product(*parts)
+        if hs_norm(residual) <= tol:
+            return m.container(*parts, cfg), it
+        if it == max_iters:
+            break
+        parts = m.step(*parts, residual, cfg)
+        if m.off_chart(*parts, cfg):
+            raise ConvergedOutsideChart(m.chart_error)
+    raise NoConvergence(f"residual above tolerance after {max_iters} iterations")
 
 
-def _sample(path: PathSpec, t: float, domain_check, cfg: ToleranceConfig) -> np.ndarray:
+def qr_newton_correct(
+    a,
+    guess: QRPair,
+    cfg: ToleranceConfig = DEFAULT_TOLERANCES,
+    max_iters: int = 20,
+):
+    """Newton-correct an approximate orthogonal/upper-triangular pair toward
+    the factorization of a.
+
+    Each step solves the derivative equation for the residual a - q @ r,
+    retracts q + u onto the orthogonal group, and adds v to r. Returns the
+    corrected pair and the number of steps taken; a guess already within
+    tolerance comes back unchanged with zero steps.
+
+    Raises NoConvergence after max_iters steps, ConvergedOutsideChart if the
+    diagonal of r turns negative, and propagates SingularR from the solve.
+    """
+    return _correct(_MAPS["qr"], a, guess, cfg, max_iters)
+
+
+def cholesky_newton_correct(
+    a,
+    guess: CholeskyFactor,
+    cfg: ToleranceConfig = DEFAULT_TOLERANCES,
+    max_iters: int = 20,
+):
+    """Newton-correct an approximate Cholesky factor toward the factorization
+    of the symmetric positive definite matrix a.
+
+    The residual is symmetrized before each solve, since roundoff breaks the
+    exact symmetry the solver requires.
+    """
+    return _correct(_MAPS["cholesky"], a, guess, cfg, max_iters)
+
+
+def ldu_newton_correct(
+    a,
+    guess: LDUTriple,
+    cfg: ToleranceConfig = DEFAULT_TOLERANCES,
+    max_iters: int = 20,
+):
+    """Newton-correct an approximate unit-lower/diagonal/unit-upper triple
+    toward the factorization of a."""
+    return _correct(_MAPS["ldu"], a, guess, cfg, max_iters)
+
+
+def _sample(m, path: PathSpec, t: float, cfg: ToleranceConfig, shape=None) -> np.ndarray:
     a = validate_matrix(path.evaluate(t), f"a({t:.6g})")
-    domain_check(a, t, cfg)
+    if shape is not None and a.shape != shape:
+        raise ShapeError(f"a({t:.6g}) has shape {a.shape}, but a(0) has shape {shape}")
+    m.domain(a, t, cfg)
     return a
 
 
-def _advance(path, cfg, domain_check, predict, correct, current, a_prev, t_prev, t_next, depth):
-    a_next = _sample(path, t_next, domain_check, cfg)
+def _advance(m, path, cfg, current, a_prev, t_prev, t_next, depth):
+    a_next = _sample(m, path, t_next, cfg, a_prev.shape)
     try:
-        guess = predict(current, a_next - a_prev, cfg)
-        corrected, iters = correct(a_next, guess, cfg)
+        # the container's checks vet the prediction before it is corrected
+        guess = m.container(*m.step(*m.parts(current), a_next - a_prev, cfg), cfg)
+        corrected, iters = m.correct(a_next, guess, cfg)
         return corrected, a_next, iters
     except _STEP_FAILURES:
         if depth <= 0:
@@ -270,35 +342,21 @@ def _advance(path, cfg, domain_check, predict, correct, current, a_prev, t_prev,
                 f"correction failed at t={t_next:.6g} after {_MAX_HALVINGS} step halvings"
             ) from None
         t_mid = 0.5 * (t_prev + t_next)
-        current, a_mid, it1 = _advance(
-            path, cfg, domain_check, predict, correct, current, a_prev, t_prev, t_mid, depth - 1
-        )
-        corrected, a_next, it2 = _advance(
-            path, cfg, domain_check, predict, correct, current, a_mid, t_mid, t_next, depth - 1
-        )
+        current, a_mid, it1 = _advance(m, path, cfg, current, a_prev, t_prev, t_mid, depth - 1)
+        corrected, a_next, it2 = _advance(m, path, cfg, current, a_mid, t_mid, t_next, depth - 1)
         return corrected, a_next, max(it1, it2)
 
 
-def _factor_norm(fac) -> float:
-    if isinstance(fac, QRPair):
-        parts = (fac.q, fac.r)
-    elif isinstance(fac, CholeskyFactor):
-        parts = (fac.l,)
-    else:
-        parts = (fac.l, fac.d, fac.u)
-    return float(np.sqrt(sum(hs_norm(p) ** 2 for p in parts)))
-
-
-def _track(path: PathSpec, cfg: ToleranceConfig, seed, domain_check, predict, correct) -> TrackReport:
+def _track(m: _FactorMap, path: PathSpec, cfg: ToleranceConfig) -> TrackReport:
     ts = [i / path.steps for i in range(path.steps + 1)]
-    a_prev = _sample(path, ts[0], domain_check, cfg)
-    current = seed(a_prev, cfg)
+    a_prev = _sample(m, path, ts[0], cfg)
+    current = m.factor(a_prev, cfg)
     factors = [current]
     iters = [0]
     residuals = [hs_norm(a_prev - current.product())]
     for t_prev, t_next in zip(ts, ts[1:]):
         current, a_prev, spent = _advance(
-            path, cfg, domain_check, predict, correct, current, a_prev, t_prev, t_next, _MAX_HALVINGS
+            m, path, cfg, current, a_prev, t_prev, t_next, _MAX_HALVINGS
         )
         factors.append(current)
         iters.append(spent)
@@ -307,7 +365,7 @@ def _track(path: PathSpec, cfg: ToleranceConfig, seed, domain_check, predict, co
         ts=ts,
         factors=factors,
         newton_iters=iters,
-        factor_norms=[_factor_norm(f) for f in factors],
+        factor_norms=[float(np.sqrt(sum(hs_norm(p) ** 2 for p in m.parts(f)))) for f in factors],
         residuals=residuals,
         max_residual=max(residuals),
     )
@@ -325,7 +383,7 @@ def track_qr(path: PathSpec, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> Track
     Raises PathLeavesDomain when a sampled matrix is numerically singular,
     NoConvergence when a correction step fails even after halving.
     """
-    return _track(path, cfg, qr_factor, _qr_domain, _qr_predict, qr_newton_correct)
+    return _track(_MAPS["qr"], path, cfg)
 
 
 def track_cholesky(path: PathSpec, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> TrackReport:
@@ -333,9 +391,7 @@ def track_cholesky(path: PathSpec, cfg: ToleranceConfig = DEFAULT_TOLERANCES) ->
 
     Raises PathLeavesDomain when a sample loses symmetry or definiteness.
     """
-    return _track(
-        path, cfg, cholesky_factor, _cholesky_domain, _cholesky_predict, cholesky_newton_correct
-    )
+    return _track(_MAPS["cholesky"], path, cfg)
 
 
 def track_ldu(path: PathSpec, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> TrackReport:
@@ -349,4 +405,4 @@ def track_ldu(path: PathSpec, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> Trac
     Raises PathLeavesDomain when a sampled matrix has a numerically zero
     leading pivot.
     """
-    return _track(path, cfg, ldu_factor, _ldu_domain, _ldu_predict, ldu_newton_correct)
+    return _track(_MAPS["ldu"], path, cfg)

@@ -51,14 +51,7 @@ from .factor import (
     qr_factor,
     qr_factor_mgs,
 )
-from .frechet import (
-    cholesky_derivative_apply,
-    cholesky_derivative_solve,
-    ldu_derivative_apply,
-    ldu_derivative_solve,
-    qr_derivative_apply,
-    qr_derivative_solve,
-)
+from .newton import _MAPS
 
 __all__ = [
     "CheckResult",
@@ -137,10 +130,25 @@ def _random_in_p(rng, n: int, margin: float, cfg: ToleranceConfig) -> np.ndarray
             return a
 
 
-def _random_symmetric_unit(rng, n: int) -> np.ndarray:
+def _random_direction(rng, n: int, symmetric: bool) -> np.ndarray:
     e = _random_square(rng, n)
-    e = 0.5 * (e + e.T)
+    if symmetric:
+        e = 0.5 * (e + e.T)
     return e / hs_norm(e)
+
+
+# Per map, for check_derivative_isomorphisms: a base-point sampler inside the
+# map's domain, the condition estimate of its factors, and the power of that
+# estimate that scales the round-trip clause.
+_DERIVATIVE_BASES = {
+    "qr": (lambda rng, n, cfg: _random_invertible(rng, n, 1e-2), lambda q, r: cond_estimate(r), 1),
+    "cholesky": (lambda rng, n, cfg: _random_spd(rng, n), lambda l: cond_estimate(l), 2),
+    "ldu": (
+        lambda rng, n, cfg: _random_in_p(rng, n, margin=1e-2, cfg=cfg),
+        lambda l, d, u: cond_estimate(l) * cond_estimate(d) * cond_estimate(u),
+        1,
+    ),
+}
 
 
 def check_qr_existence_uniqueness(
@@ -365,89 +373,33 @@ def check_derivative_isomorphisms(
     rng = np.random.default_rng(seed)
     log = _Violations(headline=5e-5)
     h = cfg.fd_step
-
-    def unit(e):
-        return e / hs_norm(e)
-
     for _ in range(trials):
         n = int(rng.integers(2, n_max + 1))
-
-        # orthogonal-times-triangular map
-        a = _random_invertible(rng, n, margin=1e-2)
-        pair = qr_factor(a, cfg)
-        cond = cond_estimate(pair.r)
-        e = unit(_random_square(rng, n))
-        tan = qr_derivative_solve(pair.q, pair.r, e, cfg)
-        rt = hs_norm(qr_derivative_apply(pair.q, pair.r, tan) - e)
-        log.observe(rt / ((1.0 + hs_norm(e)) * cond), 1e-10)
-        e2 = unit(_random_square(rng, n))
-        alpha, beta = rng.uniform(-2.0, 2.0, 2)
-        t2 = qr_derivative_solve(pair.q, pair.r, e2, cfg)
-        t3 = qr_derivative_solve(pair.q, pair.r, alpha * e + beta * e2, cfg)
-        lin = max(
-            hs_norm(t3.u - (alpha * tan.u + beta * t2.u)),
-            hs_norm(t3.v - (alpha * tan.v + beta * t2.v)),
-        )
-        log.observe(lin / (1.0 + hs_norm(t3.u) + hs_norm(t3.v)), 1e-10)
-        t0 = qr_derivative_solve(pair.q, pair.r, np.zeros((n, n)), cfg)
-        log.require(not np.any(t0.u) and not np.any(t0.v))
-        plus = qr_factor(a + h * e, cfg)
-        minus = qr_factor(a - h * e, cfg)
-        fd = max(
-            hs_norm((plus.q - minus.q) / (2.0 * h) - tan.u),
-            hs_norm((plus.r - minus.r) / (2.0 * h) - tan.v),
-        )
-        log.observe(fd, 5e-5 * cond ** 2)
-
-        # symmetric square-root map
-        a = _random_spd(rng, n)
-        fac = cholesky_factor(a, cfg)
-        cond = cond_estimate(fac.l)
-        e = _random_symmetric_unit(rng, n)
-        v = cholesky_derivative_solve(fac.l, e, cfg)
-        rt = hs_norm(cholesky_derivative_apply(fac.l, v) - e)
-        log.observe(rt / ((1.0 + hs_norm(e)) * cond ** 2), 1e-10)
-        e2 = _random_symmetric_unit(rng, n)
-        alpha, beta = rng.uniform(-2.0, 2.0, 2)
-        v2 = cholesky_derivative_solve(fac.l, e2, cfg)
-        v3 = cholesky_derivative_solve(fac.l, alpha * e + beta * e2, cfg)
-        log.observe(
-            hs_norm(v3 - (alpha * v + beta * v2)) / (1.0 + hs_norm(v3)), 1e-10
-        )
-        log.require(not np.any(cholesky_derivative_solve(fac.l, np.zeros((n, n)), cfg)))
-        plus = cholesky_factor(a + h * e, cfg)
-        minus = cholesky_factor(a - h * e, cfg)
-        fd = hs_norm((plus.l - minus.l) / (2.0 * h) - v)
-        log.observe(fd, 5e-5 * cond ** 2)
-
-        # triangular-diagonal-triangular map
-        a = _random_in_p(rng, n, margin=1e-2, cfg=cfg)
-        fac = ldu_factor(a, cfg)
-        cond = cond_estimate(fac.l) * cond_estimate(fac.d) * cond_estimate(fac.u)
-        e = unit(_random_square(rng, n))
-        tan = ldu_derivative_solve(fac.l, fac.d, fac.u, e, cfg)
-        rt = hs_norm(ldu_derivative_apply(fac.l, fac.d, fac.u, tan) - e)
-        log.observe(rt / ((1.0 + hs_norm(e)) * cond), 1e-10)
-        e2 = unit(_random_square(rng, n))
-        alpha, beta = rng.uniform(-2.0, 2.0, 2)
-        t2 = ldu_derivative_solve(fac.l, fac.d, fac.u, e2, cfg)
-        t3 = ldu_derivative_solve(fac.l, fac.d, fac.u, alpha * e + beta * e2, cfg)
-        lin = max(
-            hs_norm(t3.a - (alpha * tan.a + beta * t2.a)),
-            hs_norm(t3.s - (alpha * tan.s + beta * t2.s)),
-            hs_norm(t3.b - (alpha * tan.b + beta * t2.b)),
-        )
-        log.observe(lin / (1.0 + hs_norm(t3.a) + hs_norm(t3.s) + hs_norm(t3.b)), 1e-10)
-        t0 = ldu_derivative_solve(fac.l, fac.d, fac.u, np.zeros((n, n)), cfg)
-        log.require(not np.any(t0.a) and not np.any(t0.s) and not np.any(t0.b))
-        plus = ldu_factor(a + h * e, cfg)
-        minus = ldu_factor(a - h * e, cfg)
-        fd = max(
-            hs_norm((plus.l - minus.l) / (2.0 * h) - tan.a),
-            hs_norm((plus.d - minus.d) / (2.0 * h) - tan.s),
-            hs_norm((plus.u - minus.u) / (2.0 * h) - tan.b),
-        )
-        log.observe(fd, 5e-5 * cond ** 2)
+        for kind, m in _MAPS.items():
+            sample, cond_of, rt_power = _DERIVATIVE_BASES[kind]
+            a = sample(rng, n, cfg)
+            base = m.parts(m.factor(a, cfg))
+            cond = cond_of(*base)
+            e = _random_direction(rng, n, m.symmetric)
+            tan = m.solve(*base, e, cfg)
+            rt = hs_norm(m.apply(*base, tan) - e)
+            log.observe(rt / ((1.0 + hs_norm(e)) * cond ** rt_power), 1e-10)
+            e2 = _random_direction(rng, n, m.symmetric)
+            alpha, beta = rng.uniform(-2.0, 2.0, 2)
+            t1 = m.tangent(tan)
+            t2 = m.tangent(m.solve(*base, e2, cfg))
+            t3 = m.tangent(m.solve(*base, alpha * e + beta * e2, cfg))
+            lin = max(hs_norm(z - (alpha * x + beta * y)) for x, y, z in zip(t1, t2, t3))
+            scale = 1.0  # plain left-to-right adds: sum() compensates on Python 3.12+
+            for z in t3:
+                scale += hs_norm(z)
+            log.observe(lin / scale, 1e-10)
+            t0 = m.tangent(m.solve(*base, np.zeros((n, n)), cfg))
+            log.require(not any(np.any(z) for z in t0))
+            plus = m.parts(m.factor(a + h * e, cfg))
+            minus = m.parts(m.factor(a - h * e, cfg))
+            fd = max(hs_norm((p - q) / (2.0 * h) - x) for p, q, x in zip(plus, minus, t1))
+            log.observe(fd, 5e-5 * cond ** 2)
 
     return CheckResult(
         name="derivative_isomorphisms",

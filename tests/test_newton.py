@@ -10,6 +10,7 @@ from factordiff import (
     PathLeavesDomain,
     PathSpec,
     QRPair,
+    ShapeError,
     SingularR,
     TooFarFromGroup,
     cholesky_factor,
@@ -18,6 +19,7 @@ from factordiff import (
     ldu_factor,
     ldu_newton_correct,
     orthogonality_defect,
+    qr_derivative_solve,
     qr_factor,
     qr_newton_correct,
     retract_orthogonal,
@@ -170,6 +172,24 @@ class TestPathSpec:
         with pytest.raises(ValueError):
             PathSpec(evaluate=np.eye(2))
 
+    def test_rejects_non_integral_steps(self):
+        with pytest.raises(ValueError):
+            PathSpec(evaluate=lambda t: np.eye(2), steps=2.5)
+        with pytest.raises(ValueError):
+            PathSpec(evaluate=lambda t: np.eye(2), steps="8")
+
+    def test_accepts_integer_like_steps(self):
+        report = track_qr(PathSpec(lambda t: np.eye(2), steps=np.int64(3)))
+        assert len(report.ts) == 4
+
+
+@pytest.mark.parametrize("track", [track_qr, track_cholesky, track_ldu])
+@pytest.mark.parametrize("n_after", [2, 1])
+def test_dimension_change_is_a_shape_error(track, n_after):
+    # 3x3 to 1x1 would broadcast against a(0) and fail as a numerical error
+    with pytest.raises(ShapeError, match=r"a\(0\.5\)"):
+        track(PathSpec(lambda t: np.eye(3) if t < 0.5 else np.eye(n_after)))
+
 
 class TestTrackQR:
     def test_constant_path(self):
@@ -251,3 +271,48 @@ class TestTrackLDU:
         with pytest.raises(PathLeavesDomain) as info:
             track_ldu(PathSpec(lambda t: np.array([[0.5 - t, 1.0], [1.0, 0.0]])))
         assert info.value.t == pytest.approx(0.5, abs=1e-9)
+
+
+def _rotation(theta):
+    c, s = np.cos(theta), np.sin(theta)
+    return np.array([[c, -s], [s, c]])
+
+
+class TestStepHalving:
+    """Paths whose first tracking step fails, so the tracker halves it."""
+
+    scale = np.diag([1.0, 2.0])
+
+    def _first_prediction(self, path):
+        a0, a1 = path.evaluate(0.0), path.evaluate(1.0 / path.steps)
+        pair = qr_factor(a0)
+        tan = qr_derivative_solve(pair.q, pair.r, a1 - a0)
+        return retract_orthogonal(pair.q + tan.u), pair.r + tan.v
+
+    def _assert_recovers(self, path):
+        report = track_qr(path)
+        assert report.newton_iters == [0, 4]
+        a1 = path.evaluate(1.0)
+        oracle = qr_factor(a1)
+        bound = 1e-8 * (1.0 + hs_norm(a1))
+        assert hs_norm(report.factors[-1].q - oracle.q) <= bound
+        assert hs_norm(report.factors[-1].r - oracle.r) <= bound
+
+    def test_retraction_failure_recovers(self):
+        path = PathSpec(lambda t: _rotation(2.0 * t) @ self.scale, steps=1)
+        with pytest.raises(TooFarFromGroup):
+            self._first_prediction(path)
+        self._assert_recovers(path)
+
+    def test_negative_predicted_diagonal_recovers(self):
+        path = PathSpec(lambda t: _rotation(3.0 * t) @ self.scale, steps=1)
+        q, r = self._first_prediction(path)
+        with pytest.raises(ShapeError, match="negative diagonal"):
+            QRPair(q, r)
+        self._assert_recovers(path)
+
+    def test_jump_exhausts_halvings(self):
+        jumped = _rotation(3.0) @ self.scale
+        path = PathSpec(lambda t: self.scale if t <= 0.5 else jumped, steps=4)
+        with pytest.raises(NoConvergence, match="correction failed at t=0.515625 after 4 step halvings"):
+            track_qr(path)
