@@ -141,21 +141,6 @@ def retract_orthogonal(m, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> np.ndarr
     raise NoConvergence("polar retraction did not converge")
 
 
-def _qr_step(q, r, e, cfg):
-    tan = qr_derivative_solve(q, r, e, cfg)
-    return retract_orthogonal(q + tan.u, cfg), np.triu(r + tan.v)
-
-
-def _cholesky_step(l, e, cfg):
-    # roundoff breaks the exact symmetry the solver requires
-    return (l + cholesky_derivative_solve(l, 0.5 * (e + e.T), cfg),)
-
-
-def _ldu_step(l, d, u, e, cfg):
-    tan = ldu_derivative_solve(l, d, u, e, cfg)
-    return l + tan.a, d + tan.s, u + tan.b
-
-
 def _qr_domain(a: np.ndarray, t: float, cfg: ToleranceConfig) -> None:
     smallest = float(np.linalg.svd(a, compute_uv=False)[-1])
     if smallest <= cfg.singularity_tol * (1.0 + hs_norm(a)):
@@ -191,7 +176,7 @@ class _FactorMap:
     solve: Callable  # (*parts, e, cfg) -> tangent
     apply: Callable  # (*parts, tangent) -> matrix
     tangent: Callable  # tangent -> its components, in tangent_names order
-    step: Callable  # (*parts, e, cfg) -> parts after one solve and update
+    update: Callable  # (*parts, tangent, cfg) -> parts moved along the tangent
     off_chart: Callable  # (*parts, cfg) -> whether a corrector iterate left the chart
     chart_error: str
     domain: Callable  # (a, t, cfg) -> None, or raises PathLeavesDomain
@@ -216,7 +201,7 @@ _MAPS = {
         solve=lambda q, r, e, cfg: qr_derivative_solve(q, r, e, cfg),
         apply=lambda q, r, tan: qr_derivative_apply(q, r, tan),
         tangent=lambda tan: (tan.u, tan.v),
-        step=_qr_step,
+        update=lambda q, r, tan, cfg: (retract_orthogonal(q + tan.u, cfg), np.triu(r + tan.v)),
         off_chart=lambda q, r, cfg: np.any(np.diag(r) < 0.0),
         chart_error="diagonal of r went negative",
         domain=_qr_domain,
@@ -232,7 +217,7 @@ _MAPS = {
         solve=lambda l, e, cfg: cholesky_derivative_solve(l, e, cfg),
         apply=lambda l, v: cholesky_derivative_apply(l, v),
         tangent=lambda v: (v,),
-        step=_cholesky_step,
+        update=lambda l, v, cfg: (l + v,),
         off_chart=lambda l, cfg: np.any(np.diag(l) < 0.0),
         chart_error="diagonal of l went negative",
         domain=_cholesky_domain,
@@ -248,13 +233,21 @@ _MAPS = {
         solve=lambda l, d, u, e, cfg: ldu_derivative_solve(l, d, u, e, cfg),
         apply=lambda l, d, u, tan: ldu_derivative_apply(l, d, u, tan),
         tangent=lambda tan: (tan.a, tan.s, tan.b),
-        step=_ldu_step,
+        update=lambda l, d, u, tan, cfg: (l + tan.a, d + tan.s, u + tan.b),
         off_chart=lambda l, d, u, cfg: float(np.min(np.abs(np.diag(d)))) <= cfg.singularity_tol,
         chart_error="diagonal factor lost invertibility",
         domain=_ldu_domain,
         correct=lambda a, guess, cfg: ldu_newton_correct(a, guess, cfg),
     ),
 }
+
+
+def _newton_solve(m: _FactorMap, parts: tuple, e: np.ndarray, cfg: ToleranceConfig):
+    # the derivative solve of a prediction or a Newton step; roundoff breaks
+    # the exact symmetry a symmetric map's solve requires
+    if m.symmetric:
+        e = 0.5 * (e + e.T)
+    return m.solve(*parts, e, cfg)
 
 
 def _correct(m: _FactorMap, a, guess, cfg: ToleranceConfig, max_iters: int):
@@ -269,7 +262,8 @@ def _correct(m: _FactorMap, a, guess, cfg: ToleranceConfig, max_iters: int):
             return m.container(*parts, cfg), it
         if it == max_iters:
             break
-        parts = m.step(*parts, residual, cfg)
+        tan = _newton_solve(m, parts, residual, cfg)
+        parts = m.update(*parts, tan, cfg)
         if m.off_chart(*parts, cfg):
             raise ConvergedOutsideChart(m.chart_error)
     raise NoConvergence(f"residual above tolerance after {max_iters} iterations")
@@ -332,8 +326,10 @@ def _sample(m, path: PathSpec, t: float, cfg: ToleranceConfig, shape=None) -> np
 def _advance(m, path, cfg, current, a_prev, t_prev, t_next, depth):
     a_next = _sample(m, path, t_next, cfg, a_prev.shape)
     try:
+        parts = m.parts(current)
+        tan = _newton_solve(m, parts, a_next - a_prev, cfg)
         # the container's checks vet the prediction before it is corrected
-        guess = m.container(*m.step(*m.parts(current), a_next - a_prev, cfg), cfg)
+        guess = m.container(*m.update(*parts, tan, cfg), cfg)
         corrected, iters = m.correct(a_next, guess, cfg)
         return corrected, a_next, iters
     except _STEP_FAILURES:
