@@ -262,6 +262,8 @@ def _correct(m: _FactorMap, a, guess, cfg: ToleranceConfig, max_iters: int):
             return m.container(*parts, cfg), it
         if it == max_iters:
             break
+        # tan stays bound until the next solve: freeing it within each step let
+        # malloc trim and re-fault the heap, ~40% more page faults at n=128
         tan = _newton_solve(m, parts, residual, cfg)
         parts = m.update(*parts, tan, cfg)
         if m.off_chart(*parts, cfg):
