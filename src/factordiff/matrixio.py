@@ -71,11 +71,16 @@ def matrix_from_json(text: str) -> np.ndarray:
         raise ValueError('expected a JSON object with fields "n" and "entries"')
     n = obj["n"]
     entries = obj["entries"]
-    if not isinstance(n, int) or n < 1:
+    # bool is an int subclass, so true would otherwise read as n = 1
+    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise ValueError('"n" must be a positive integer')
     if not isinstance(entries, list) or len(entries) != n * n:
         raise ValueError(f'"entries" must hold n*n = {n * n} numbers')
-    return _validated(np.asarray(entries, dtype=np.float64).reshape(n, n), "matrix")
+    try:
+        flat = np.asarray(entries, dtype=np.float64)
+    except (TypeError, ValueError):
+        raise ValueError('"entries" must all be numbers') from None
+    return _validated(flat.reshape(n, n), "matrix")
 
 
 def save_matrix(path, a, fmt: str | None = None) -> None:

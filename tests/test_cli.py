@@ -74,6 +74,22 @@ class TestFactorCommand:
         code = main(["factor", "--kind", "qr", "--input", str(bad), "--output", str(tmp_path / "o")])
         assert code == 1
 
+    def test_json_bool_n_exit_1(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"n": true, "entries": [5]}')
+        code = main(["factor", "--kind", "qr", "--input", str(bad), "--output",
+                     str(tmp_path / "o"), "--format", "json"])
+        assert code == 1
+        assert capsys.readouterr().err == 'error: "n" must be a positive integer\n'
+
+    def test_json_non_numeric_entries_exit_1(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"n": 1, "entries": [{}]}')
+        code = main(["factor", "--kind", "qr", "--input", str(bad), "--output",
+                     str(tmp_path / "o"), "--format", "json"])
+        assert code == 1
+        assert capsys.readouterr().err == 'error: "entries" must all be numbers\n'
+
     def test_missing_input_exit_1(self, tmp_path):
         code = main([
             "factor", "--kind", "qr",

@@ -330,6 +330,70 @@ class TestSolveTriangular:
         )
 
 
+def graded_within(rng, n, lower, where):
+    """A `triangular`-style t whose diagonal falls from 1 to 1e-8 either
+    across all n columns or within the 32 columns of one block (the second
+    block when there is one)."""
+    t = triangular(rng, n, lower, "well")
+    grade = np.ones(n)
+    if where == "across":
+        grade = np.logspace(0.0, -8.0, n)
+    else:
+        block = slice(32, min(64, n)) if n > 32 else slice(0, n)
+        grade[block] = np.logspace(0.0, -8.0, len(grade[block]))
+    return t * grade[None, :]
+
+
+def gesv(t, c, lower):
+    """The one-call solve: gesv on t, or on t with rows and columns reversed
+    when t is lower triangular."""
+    if lower:
+        return np.linalg.solve(t[::-1, ::-1], c[::-1])[::-1]
+    return np.linalg.solve(t, c)
+
+
+class TestSolveTriangularBlocks:
+    """Triangles at and across the 32-column block edge, against
+    substitution, and bit-identical to one gesv call while they fit in one
+    block."""
+
+    @pytest.mark.parametrize("n", [31, 32, 33, 64, 65, 200])
+    @pytest.mark.parametrize("where", ["within", "across"])
+    @pytest.mark.parametrize("lower", [False, True])
+    def test_left(self, n, where, lower):
+        rng = np.random.default_rng([n, int(lower), int(where == "within")])
+        t = graded_within(rng, n, lower, where)
+        c = rng.uniform(-1.0, 1.0, (n, 5))
+        want = substitute(t, c, lower)
+        got = solve_triangular(t, c, lower=lower)
+        assert hs_norm(got - want) <= solve_tol(t) * hs_norm(want)
+        if n <= 32:
+            assert np.array_equal(got, gesv(t, c, lower))
+
+    @pytest.mark.parametrize("n", [31, 32, 33, 64, 65, 200])
+    @pytest.mark.parametrize("where", ["within", "across"])
+    @pytest.mark.parametrize("lower", [False, True])
+    def test_right(self, n, where, lower):
+        rng = np.random.default_rng([n, int(lower), int(where == "within"), 1])
+        r = graded_within(rng, n, lower, where)
+        c = rng.uniform(-1.0, 1.0, (5, n))
+        want = substitute(r.T, c.T, not lower).T
+        got = _solve_right_triangular(c, r, lower=lower)
+        assert hs_norm(got - want) <= solve_tol(r) * hs_norm(want)
+        if n <= 32:
+            assert np.array_equal(got, gesv(r.T, c.T, not lower).T)
+
+    @pytest.mark.parametrize("n", [33, 64, 65])
+    @pytest.mark.parametrize("lower", [False, True])
+    def test_square_right_side(self, n, lower):
+        """An n-by-n right side, the shape the derivative solves pass."""
+        rng = np.random.default_rng([n, int(lower), 2])
+        t = triangular(rng, n, lower, "well")
+        c = rng.uniform(-1.0, 1.0, (n, n))
+        want = substitute(t, c, lower)
+        assert hs_norm(solve_triangular(t, c, lower=lower) - want) <= solve_tol(t) * hs_norm(want)
+
+
 def test_tracking_loads_no_scipy():
     """numpy's OpenBLAS is the only BLAS in use: importing factordiff and
     tracking each map imports no scipy module. It runs in a fresh

@@ -84,3 +84,31 @@ def test_traced_counts(tmp_path):
         "newton.ldu_newton_correct": 4,
         "newton.retract_orthogonal": 24,
     }
+
+
+def test_triangular_solve_counts():
+    """Above one 32-column block each derivative solve still enters the
+    public solve_triangular once per triangular solve: once for QR, twice for
+    Cholesky and LDU. A block loop or a reversed lower solve that called the
+    public name again would show here as extra spans."""
+    n = 40
+    rng = np.random.default_rng(41)
+    g0, g1 = rng.uniform(-1.0, 1.0, (2, n, n)) / np.sqrt(n)
+    a0, a1 = g0 + 3.0 * np.eye(n), g1 + 3.0 * np.eye(n)
+    s0, s1 = g0 @ g0.T + np.eye(n), g1 @ g1.T + np.eye(n)
+
+    tracer = _tracer()
+    tracer.install()
+    try:
+        factordiff.track_qr(_linear(a0, a1, steps=2))
+        factordiff.track_cholesky(_linear(s0, s1, steps=2))
+        factordiff.track_ldu(_linear(a0, a1, steps=2))
+    finally:
+        tracer.uninstall()
+
+    counts = Counter(span[0] for span in tracer.spans)
+    solves = {k: counts[f"frechet.{k}_derivative_solve"] for k in ("qr", "cholesky", "ldu")}
+    assert solves == {"qr": 8, "cholesky": 8, "ldu": 8}
+    assert counts["frechet.solve_triangular"] == (
+        solves["qr"] + 2 * solves["cholesky"] + 2 * solves["ldu"]
+    )
