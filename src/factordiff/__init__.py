@@ -8,139 +8,21 @@ correction, predictor-corrector tracking along matrix families, and a seeded
 verification suite that exercises every contract.
 """
 
-from .core import (
-    DEFAULT_TOLERANCES,
-    CholeskyFactor,
-    LDUTangent,
-    LDUTriple,
-    QRPair,
-    QRTangent,
-    ToleranceConfig,
-    hs_norm,
-    orthogonality_defect,
-    split_lower_diag_upper,
-    split_skew_upper,
-    sym_to_lower,
-    validate_matrix,
-)
-from .errors import (
-    BaseMismatch,
-    ConvergedOutsideChart,
-    FactorizationError,
-    NoConvergence,
-    NotInDomainP,
-    NotPositiveSemiDefinite,
-    NotSymmetric,
-    PathLeavesDomain,
-    ShapeError,
-    SingularD,
-    SingularInput,
-    SingularL,
-    SingularR,
-    TooFarFromGroup,
-)
-from .factor import (
-    cholesky_factor,
-    cond_estimate,
-    in_domain_p,
-    ldu_factor,
-    leading_minor_dets,
-    qr_factor,
-    qr_factor_mgs,
-)
-from .frechet import (
-    cholesky_derivative_apply,
-    cholesky_derivative_solve,
-    ldu_derivative_apply,
-    ldu_derivative_solve,
-    qr_derivative_apply,
-    qr_derivative_solve,
-)
-from .matrixio import load_matrix, save_matrix
-from .newton import (
-    PathSpec,
-    TrackReport,
-    cholesky_newton_correct,
-    ldu_newton_correct,
-    qr_newton_correct,
-    retract_orthogonal,
-    track_cholesky,
-    track_ldu,
-    track_qr,
-)
-from .verify import (
-    CheckResult,
-    check_cholesky_theorem,
-    check_derivative_isomorphisms,
-    check_ldu_domain_characterization,
-    check_ldu_nonproperness,
-    check_qr_existence_uniqueness,
-    check_qr_properness_identity,
-    results_to_json,
-    run_all,
-)
+# Each module's __all__ is the one list of its public names; the package
+# republishes them all.
+from . import core, errors, factor, frechet, matrixio, newton, verify
+from .core import *
+from .errors import *
+from .factor import *
+from .frechet import *
+from .matrixio import *
+from .newton import *
+from .verify import *
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ToleranceConfig",
-    "DEFAULT_TOLERANCES",
-    "validate_matrix",
-    "hs_norm",
-    "orthogonality_defect",
-    "split_skew_upper",
-    "sym_to_lower",
-    "split_lower_diag_upper",
-    "QRPair",
-    "CholeskyFactor",
-    "LDUTriple",
-    "QRTangent",
-    "LDUTangent",
-    "qr_factor",
-    "qr_factor_mgs",
-    "cholesky_factor",
-    "ldu_factor",
-    "leading_minor_dets",
-    "in_domain_p",
-    "cond_estimate",
-    "qr_derivative_apply",
-    "qr_derivative_solve",
-    "cholesky_derivative_apply",
-    "cholesky_derivative_solve",
-    "ldu_derivative_apply",
-    "ldu_derivative_solve",
-    "PathSpec",
-    "TrackReport",
-    "retract_orthogonal",
-    "qr_newton_correct",
-    "cholesky_newton_correct",
-    "ldu_newton_correct",
-    "track_qr",
-    "track_cholesky",
-    "track_ldu",
-    "CheckResult",
-    "check_qr_existence_uniqueness",
-    "check_qr_properness_identity",
-    "check_cholesky_theorem",
-    "check_ldu_domain_characterization",
-    "check_ldu_nonproperness",
-    "check_derivative_isomorphisms",
-    "run_all",
-    "results_to_json",
-    "load_matrix",
-    "save_matrix",
-    "FactorizationError",
-    "ShapeError",
-    "NotSymmetric",
-    "NotPositiveSemiDefinite",
-    "NotInDomainP",
-    "SingularInput",
-    "SingularR",
-    "SingularL",
-    "SingularD",
-    "BaseMismatch",
-    "NoConvergence",
-    "ConvergedOutsideChart",
-    "TooFarFromGroup",
-    "PathLeavesDomain",
+    name
+    for module in (core, factor, frechet, newton, verify, matrixio, errors)
+    for name in module.__all__
 ]

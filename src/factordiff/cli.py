@@ -23,7 +23,6 @@ from .errors import (
     ConvergedOutsideChart,
     FactorizationError,
     NoConvergence,
-    PathLeavesDomain,
 )
 from .matrixio import _FMT, load_matrix, save_matrix
 from .newton import _MAPS, PathSpec, _track
@@ -37,9 +36,8 @@ EXIT_VERIFY = 4
 
 
 def _write_components(prefix: str, fmt: str, components: dict) -> None:
-    ext = "json" if fmt == "json" else "csv"
     for name, mat in components.items():
-        save_matrix(f"{prefix}_{name}.{ext}", mat, fmt)
+        save_matrix(f"{prefix}_{name}.{fmt}", mat, fmt)
 
 
 def _cmd_factor(args) -> int:
@@ -166,9 +164,6 @@ def main(argv=None) -> int:
     except (NoConvergence, ConvergedOutsideChart) as exc:
         print(f"{type(exc).__name__} {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except PathLeavesDomain as exc:
-        print(f"{type(exc).__name__} {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
     except FactorizationError as exc:
         print(f"{type(exc).__name__} {exc}", file=sys.stderr)
         return EXIT_DOMAIN

@@ -78,6 +78,17 @@ def validate_matrix(a, name: str = "matrix") -> np.ndarray:
     return arr
 
 
+def _validate_matching(**mats) -> tuple:
+    """validate_matrix on each named input, in order, then one shared shape;
+    returns the copies in order. validate_matrix is called by its module-level
+    name, which perfbench/tracing.py replaces to count it."""
+    out = tuple(validate_matrix(a, name) for name, a in mats.items())
+    if any(m.shape != out[0].shape for m in out[1:]):
+        names = " and ".join(mats) if len(mats) == 2 else ", ".join(mats)
+        raise ShapeError(f"{names} must have matching shapes")
+    return out
+
+
 def hs_norm(m) -> float:
     """Hilbert-Schmidt (Frobenius) norm: sqrt of the sum of squared entries."""
     arr = np.asarray(m, dtype=np.float64)
@@ -141,10 +152,7 @@ class QRPair:
     __slots__ = ("q", "r")
 
     def __init__(self, q, r, cfg: ToleranceConfig = DEFAULT_TOLERANCES):
-        q = validate_matrix(q, "q")
-        r = validate_matrix(r, "r")
-        if q.shape != r.shape:
-            raise ShapeError("q and r must have matching shapes")
+        q, r = _validate_matching(q=q, r=r)
         if orthogonality_defect(q) > cfg.structural_tol * (1.0 + hs_norm(q)):
             raise ShapeError("q is not orthogonal within structural tolerance")
         r = np.triu(r)
@@ -203,11 +211,7 @@ class LDUTriple:
     __slots__ = ("l", "d", "u")
 
     def __init__(self, l, d, u, cfg: ToleranceConfig = DEFAULT_TOLERANCES):
-        l = validate_matrix(l, "l")
-        d = validate_matrix(d, "d")
-        u = validate_matrix(u, "u")
-        if not (l.shape == d.shape == u.shape):
-            raise ShapeError("l, d, u must have matching shapes")
+        l, d, u = _validate_matching(l=l, d=d, u=u)
         eye = np.eye(l.shape[0])
         l = np.tril(l, -1) + eye
         u = np.triu(u, 1) + eye
@@ -241,11 +245,7 @@ class QRTangent:
     __slots__ = ("u", "v", "base_q")
 
     def __init__(self, u, v, base_q, cfg: ToleranceConfig = DEFAULT_TOLERANCES):
-        u = validate_matrix(u, "u")
-        v = validate_matrix(v, "v")
-        base_q = validate_matrix(base_q, "base_q")
-        if not (u.shape == v.shape == base_q.shape):
-            raise ShapeError("u, v, base_q must have matching shapes")
+        u, v, base_q = _validate_matching(u=u, v=v, base_q=base_q)
         w = base_q.T @ u
         if hs_norm(w + w.T) > cfg.structural_tol * (1.0 + hs_norm(u)):
             raise ShapeError("base_q^T u is not skew-symmetric within tolerance")
@@ -268,11 +268,7 @@ class LDUTangent:
     __slots__ = ("a", "s", "b")
 
     def __init__(self, a, s, b):
-        a = validate_matrix(a, "a")
-        s = validate_matrix(s, "s")
-        b = validate_matrix(b, "b")
-        if not (a.shape == s.shape == b.shape):
-            raise ShapeError("a, s, b must have matching shapes")
+        a, s, b = _validate_matching(a=a, s=s, b=b)
         self.a = _freeze(np.tril(a, -1))
         self.s = _freeze(np.diag(np.diag(s)))
         self.b = _freeze(np.triu(b, 1))

@@ -1,5 +1,22 @@
 """Exception types for domain refusals, structural violations, and iteration failures."""
 
+__all__ = [
+    "FactorizationError",
+    "ShapeError",
+    "NotSymmetric",
+    "NotPositiveSemiDefinite",
+    "NotInDomainP",
+    "SingularInput",
+    "SingularR",
+    "SingularL",
+    "SingularD",
+    "BaseMismatch",
+    "NoConvergence",
+    "ConvergedOutsideChart",
+    "TooFarFromGroup",
+    "PathLeavesDomain",
+]
+
 
 class FactorizationError(Exception):
     """Base class for every error raised by this package."""

@@ -46,10 +46,10 @@ from .core import (
     QRTangent,
     ToleranceConfig,
     hs_norm,
+    _validate_matching,
     split_lower_diag_upper,
     split_skew_upper,
     sym_to_lower,
-    validate_matrix,
 )
 from .errors import (
     BaseMismatch,
@@ -88,6 +88,33 @@ def _require_unit_diag(m: np.ndarray, name: str) -> None:
 def _require_diagonal(m: np.ndarray, name: str) -> None:
     if np.any((m - np.diag(np.diag(m))) != 0.0):
         raise ShapeError(f"{name} must be diagonal")
+
+
+# One base-point rule per map, shared by its apply and its solve: the factors
+# and any further named matrices pass _validate_matching together, then the
+# factors' exact structure is required.
+
+
+def _qr_base(q, r, **rest) -> tuple:
+    q, r, *rest = _validate_matching(q=q, r=r, **rest)
+    _require_upper(r, "r")
+    return (q, r, *rest)
+
+
+def _cholesky_base(l, **rest) -> tuple:
+    l, *rest = _validate_matching(l=l, **rest)
+    _require_lower(l, "l")
+    return (l, *rest)
+
+
+def _ldu_base(l, d, u, **rest) -> tuple:
+    l, d, u, *rest = _validate_matching(l=l, d=d, u=u, **rest)
+    _require_lower(l, "l")
+    _require_unit_diag(l, "l")
+    _require_upper(u, "u")
+    _require_unit_diag(u, "u")
+    _require_diagonal(d, "d")
+    return (l, d, u, *rest)
 
 
 _BLOCK = 32
@@ -129,9 +156,8 @@ def _solve_right_triangular(c, r, lower=False):
 def qr_derivative_apply(q, r, tan: QRTangent) -> np.ndarray:
     """First-order response u @ r + q @ v of the product q @ r to the
     tangent (u, v). The tangent must be based at this q."""
-    q = validate_matrix(q, "q")
-    r = validate_matrix(r, "r")
-    if tan.u.shape != q.shape:
+    q, r = _qr_base(q, r)
+    if tan.n != len(q):
         raise ShapeError("tangent dimension does not match the base point")
     if not np.array_equal(tan.base_q, q):
         raise BaseMismatch("tangent is based at a different q")
@@ -147,11 +173,7 @@ def qr_derivative_solve(q, r, e, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> Q
     Raises SingularR when a diagonal entry of r is below the singularity
     threshold.
     """
-    q = validate_matrix(q, "q")
-    r = validate_matrix(r, "r")
-    e = validate_matrix(e, "e")
-    if not (q.shape == r.shape == e.shape):
-        raise ShapeError("q, r, e must have matching shapes")
+    q, r, e = _qr_base(q, r, e=e)
     if float(np.min(np.abs(np.diag(r)))) <= cfg.singularity_tol * (1.0 + hs_norm(r)):
         raise SingularR("r has a diagonal entry below the singularity threshold")
     m = _solve_right_triangular(q.T @ e, r)
@@ -162,11 +184,7 @@ def qr_derivative_solve(q, r, e, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> Q
 def cholesky_derivative_apply(l, v) -> np.ndarray:
     """First-order response l @ v^T + v @ l^T (always symmetric) of the
     product l @ l^T to a lower-triangular tangent v."""
-    l = validate_matrix(l, "l")
-    v = validate_matrix(v, "v")
-    if l.shape != v.shape:
-        raise ShapeError("l and v must have matching shapes")
-    _require_lower(l, "l")
+    l, v = _cholesky_base(l, v=v)
     _require_lower(v, "v")
     return l @ v.T + v @ l.T
 
@@ -178,11 +196,7 @@ def cholesky_derivative_solve(l, e, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -
     Raises SingularL on a near-zero diagonal of l, NotSymmetric on
     asymmetric e.
     """
-    l = validate_matrix(l, "l")
-    e = validate_matrix(e, "e")
-    if l.shape != e.shape:
-        raise ShapeError("l and e must have matching shapes")
-    _require_lower(l, "l")
+    l, e = _cholesky_base(l, e=e)
     if float(np.min(np.abs(np.diag(l)))) <= cfg.singularity_tol * (1.0 + hs_norm(l)):
         raise SingularL("l has a diagonal entry below the singularity threshold")
     if hs_norm(e - e.T) > cfg.structural_tol * (1.0 + hs_norm(e)):
@@ -196,16 +210,9 @@ def cholesky_derivative_solve(l, e, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -
 def ldu_derivative_apply(l, d, u, tan: LDUTangent) -> np.ndarray:
     """First-order response a @ d @ u + l @ s @ u + l @ d @ b of the product
     l @ d @ u to the tangent triple (a, s, b)."""
-    l = validate_matrix(l, "l")
-    d = validate_matrix(d, "d")
-    u = validate_matrix(u, "u")
-    if not (l.shape == d.shape == u.shape == tan.a.shape):
-        raise ShapeError("base point and tangent must have matching shapes")
-    _require_lower(l, "l")
-    _require_unit_diag(l, "l")
-    _require_upper(u, "u")
-    _require_unit_diag(u, "u")
-    _require_diagonal(d, "d")
+    l, d, u = _ldu_base(l, d, u)
+    if tan.n != len(l):
+        raise ShapeError("tangent dimension does not match the base point")
     return tan.a @ d @ u + l @ tan.s @ u + l @ d @ tan.b
 
 
@@ -215,17 +222,7 @@ def ldu_derivative_solve(l, d, u, e, cfg: ToleranceConfig = DEFAULT_TOLERANCES) 
     Raises SingularD when a diagonal entry of d is below the singularity
     threshold.
     """
-    l = validate_matrix(l, "l")
-    d = validate_matrix(d, "d")
-    u = validate_matrix(u, "u")
-    e = validate_matrix(e, "e")
-    if not (l.shape == d.shape == u.shape == e.shape):
-        raise ShapeError("l, d, u, e must have matching shapes")
-    _require_lower(l, "l")
-    _require_unit_diag(l, "l")
-    _require_upper(u, "u")
-    _require_unit_diag(u, "u")
-    _require_diagonal(d, "d")
+    l, d, u, e = _ldu_base(l, d, u, e=e)
     dvec = np.diag(d)
     # absolute threshold: blow-up base points mix tiny and huge entries in d
     if float(np.min(np.abs(dvec))) <= cfg.singularity_tol:

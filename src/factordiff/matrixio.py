@@ -15,14 +15,7 @@ import numpy as np
 from .core import validate_matrix
 from .errors import ShapeError
 
-__all__ = [
-    "matrix_to_csv",
-    "matrix_from_csv",
-    "matrix_to_json",
-    "matrix_from_json",
-    "save_matrix",
-    "load_matrix",
-]
+__all__ = ["save_matrix", "load_matrix"]
 
 _FMT = "{:.17g}"
 
@@ -83,10 +76,18 @@ def matrix_from_json(text: str) -> np.ndarray:
     return _validated(flat.reshape(n, n), "matrix")
 
 
+def _format(path, fmt: str | None) -> str:
+    if fmt is None:
+        return "json" if str(path).endswith(".json") else "csv"
+    if fmt not in ("csv", "json"):
+        raise ValueError(f'unknown matrix format {fmt!r}: expected "csv" or "json"')
+    return fmt
+
+
 def save_matrix(path, a, fmt: str | None = None) -> None:
     """Write a matrix to path as CSV or JSON (inferred from the extension
-    unless fmt is given)."""
-    fmt = fmt or ("json" if str(path).endswith(".json") else "csv")
+    unless fmt is given). Raises ValueError for any other fmt."""
+    fmt = _format(path, fmt)
     text = matrix_to_json(a) if fmt == "json" else matrix_to_csv(a)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)
@@ -94,8 +95,8 @@ def save_matrix(path, a, fmt: str | None = None) -> None:
 
 def load_matrix(path, fmt: str | None = None) -> np.ndarray:
     """Read a matrix from path as CSV or JSON (inferred from the extension
-    unless fmt is given)."""
+    unless fmt is given). Raises ValueError for any other fmt."""
+    fmt = _format(path, fmt)
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
-    fmt = fmt or ("json" if str(path).endswith(".json") else "csv")
     return matrix_from_json(text) if fmt == "json" else matrix_from_csv(text)

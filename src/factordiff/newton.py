@@ -75,6 +75,19 @@ _STEP_FAILURES = (
 )
 
 
+def _require_count(value, name: str, least: int) -> int:
+    """value as an int, or ValueError when it is not integral or below least
+    (0 or 1). operator.index refuses floats, even integral ones."""
+    kind = "positive" if least == 1 else "non-negative"
+    try:
+        count = operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be a {kind} integer") from None
+    if count < least:
+        raise ValueError(f"{name} must be a {kind} integer")
+    return count
+
+
 @dataclass(frozen=True)
 class PathSpec:
     """A matrix family t in [0, 1] -> a(t), evaluated lazily.
@@ -91,12 +104,7 @@ class PathSpec:
     def __post_init__(self) -> None:
         if not callable(self.evaluate):
             raise ValueError("evaluate must be callable")
-        try:
-            steps = operator.index(self.steps)
-        except TypeError:
-            raise ValueError("steps must be a positive integer") from None
-        if steps < 1:
-            raise ValueError("steps must be a positive integer")
+        _require_count(self.steps, "steps", least=1)
 
 
 @dataclass(frozen=True)
@@ -304,6 +312,7 @@ def _newton_solve(m: _FactorMap, parts: tuple, e: np.ndarray, cfg: ToleranceConf
 
 
 def _correct(m: _FactorMap, a, guess, cfg: ToleranceConfig, max_iters: int):
+    max_iters = _require_count(max_iters, "max_iters", least=0)
     a = validate_matrix(a, "a")
     if m.symmetric:
         a = 0.5 * (a + a.T)
@@ -338,7 +347,8 @@ def qr_newton_correct(
     corrected pair and the number of steps taken; a guess already within
     tolerance comes back unchanged with zero steps.
 
-    Raises NoConvergence after max_iters steps, ConvergedOutsideChart if the
+    Raises ValueError unless max_iters is a non-negative integer,
+    NoConvergence after max_iters steps, ConvergedOutsideChart if the
     diagonal of r turns negative, and propagates SingularR from the solve.
     """
     return _correct(_MAPS["qr"], a, guess, cfg, max_iters)

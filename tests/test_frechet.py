@@ -411,3 +411,17 @@ def test_tracking_loads_no_scipy():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("n", [8, 40])
+def test_qr_base_point_requires_upper_triangular_r(n):
+    # unchecked, a nonzero below r's diagonal gives a tangent that misses
+    # u r + q v = e by O(1) at n=8
+    rng = np.random.default_rng(0)
+    pair = qr_factor(rng.standard_normal((n, n)) + 3.0 * np.eye(n))
+    r = pair.r + 0.1 * np.tril(rng.standard_normal((n, n)), -1)
+    with pytest.raises(ShapeError, match="r must be upper triangular"):
+        qr_derivative_solve(pair.q, r, rng.standard_normal((n, n)))
+    tan = QRTangent(np.zeros((n, n)), np.zeros((n, n)), pair.q)
+    with pytest.raises(ShapeError, match="r must be upper triangular"):
+        qr_derivative_apply(pair.q, r, tan)

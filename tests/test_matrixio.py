@@ -77,3 +77,14 @@ class TestFiles:
         p = tmp_path / "m.dat"
         save_matrix(p, a, fmt="json")
         assert np.array_equal(load_matrix(p, fmt="json"), a)
+
+    @pytest.mark.parametrize("fmt", ["xml", "CSV", ""])
+    def test_unknown_format_rejected(self, tmp_path, fmt):
+        # an unknown fmt must not fall through to CSV, nor write a file
+        p = tmp_path / "m.csv"
+        save_matrix(p, np.eye(2))
+        with pytest.raises(ValueError, match="unknown matrix format"):
+            save_matrix(tmp_path / "out.csv", np.eye(2), fmt)
+        assert not (tmp_path / "out.csv").exists()
+        with pytest.raises(ValueError, match="unknown matrix format"):
+            load_matrix(p, fmt)

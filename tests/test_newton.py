@@ -316,3 +316,19 @@ class TestStepHalving:
         path = PathSpec(lambda t: self.scale if t <= 0.5 else jumped, steps=4)
         with pytest.raises(NoConvergence, match="correction failed at t=0.515625 after 4 step halvings"):
             track_qr(path)
+
+
+@pytest.mark.parametrize("max_iters", [-1, 2.5])
+@pytest.mark.parametrize(
+    "correct, guess",
+    [
+        (qr_newton_correct, QRPair(np.eye(2), np.eye(2))),
+        (cholesky_newton_correct, CholeskyFactor(np.eye(2))),
+        (ldu_newton_correct, LDUTriple(np.eye(2), np.eye(2), np.eye(2))),
+    ],
+)
+def test_corrector_rejects_bad_budget(correct, guess, max_iters):
+    # unchecked, -1 runs no step and reads as NoConvergence, and 2.5 fails
+    # inside range() with a TypeError
+    with pytest.raises(ValueError, match="max_iters must be a non-negative integer"):
+        correct(np.eye(2), guess, max_iters=max_iters)
