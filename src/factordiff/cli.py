@@ -44,7 +44,7 @@ def _cmd_factor(args) -> int:
     a = load_matrix(args.input, args.format)
     m = _MAPS[args.kind]
     fac = m.factor(a, DEFAULT_TOLERANCES)
-    _write_components(args.output, args.format, dict(zip(m.names, m.parts(fac))))
+    _write_components(args.output, args.format, dict(zip(fac.__slots__, m.parts(fac))))
     return EXIT_OK
 
 
@@ -87,7 +87,8 @@ def _build_path(args) -> PathSpec:
 def _cmd_track(args) -> int:
     m = _MAPS[args.kind]
     report = _track(m, _build_path(args), DEFAULT_TOLERANCES)
-    lines = ["t," + ",".join(f"norm_{c}" for c in m.names) + ",newton_iters,residual"]
+    names = m.container.__slots__
+    lines = ["t," + ",".join(f"norm_{c}" for c in names) + ",newton_iters,residual"]
     for t, fac, iters, residual in zip(
         report.ts, report.factors, report.newton_iters, report.residuals
     ):

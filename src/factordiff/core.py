@@ -141,7 +141,26 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return a
 
 
-class QRPair:
+def _require_orthogonal(q: np.ndarray, cfg: ToleranceConfig) -> None:
+    if orthogonality_defect(q) > cfg.structural_tol * (1.0 + hs_norm(q)):
+        raise ShapeError("q is not orthogonal within structural tolerance")
+
+
+class _Container:
+    """The shape every factor and tangent container shares: n is the
+    dimension of the first slot, and the repr is Name(n=...)."""
+
+    __slots__ = ()
+
+    @property
+    def n(self) -> int:
+        return getattr(self, self.__slots__[0]).shape[0]
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}(n={self.n})"
+
+
+class QRPair(_Container):
     """Orthogonal factor q paired with an upper-triangular factor r whose
     diagonal is non-negative.
 
@@ -153,27 +172,19 @@ class QRPair:
 
     def __init__(self, q, r, cfg: ToleranceConfig = DEFAULT_TOLERANCES):
         q, r = _validate_matching(q=q, r=r)
-        if orthogonality_defect(q) > cfg.structural_tol * (1.0 + hs_norm(q)):
-            raise ShapeError("q is not orthogonal within structural tolerance")
+        _require_orthogonal(q, cfg)
         r = np.triu(r)
         if float(np.min(np.diag(r))) < -cfg.structural_tol * (1.0 + hs_norm(r)):
             raise ShapeError("r has a negative diagonal entry beyond tolerance")
         self.q = _freeze(q)
         self.r = _freeze(r)
 
-    @property
-    def n(self) -> int:
-        return self.q.shape[0]
-
     def product(self) -> np.ndarray:
         """Recompose q @ r."""
         return self.q @ self.r
 
-    def __repr__(self) -> str:
-        return f"QRPair(n={self.n})"
 
-
-class CholeskyFactor:
+class CholeskyFactor(_Container):
     """Lower-triangular factor l with non-negative diagonal; strict upper
     triangle zeroed on construction."""
 
@@ -186,19 +197,12 @@ class CholeskyFactor:
             raise ShapeError("l has a negative diagonal entry beyond tolerance")
         self.l = _freeze(l)
 
-    @property
-    def n(self) -> int:
-        return self.l.shape[0]
-
     def product(self) -> np.ndarray:
         """Recompose l @ l^T."""
         return self.l @ self.l.T
 
-    def __repr__(self) -> str:
-        return f"CholeskyFactor(n={self.n})"
 
-
-class LDUTriple:
+class LDUTriple(_Container):
     """Unit-lower l, invertible diagonal d, unit-upper u.
 
     Unit diagonals and sparsity patterns are imposed exactly on construction;
@@ -222,19 +226,12 @@ class LDUTriple:
         self.d = _freeze(d)
         self.u = _freeze(u)
 
-    @property
-    def n(self) -> int:
-        return self.l.shape[0]
-
     def product(self) -> np.ndarray:
         """Recompose l @ d @ u."""
         return self.l @ self.d @ self.u
 
-    def __repr__(self) -> str:
-        return f"LDUTriple(n={self.n})"
 
-
-class QRTangent:
+class QRTangent(_Container):
     """Perturbation (u, v) of an orthogonal/upper-triangular pair, based at
     base_q: base_q^T u must be skew-symmetric, v upper triangular.
 
@@ -253,12 +250,8 @@ class QRTangent:
         self.v = _freeze(np.triu(v))
         self.base_q = _freeze(base_q)
 
-    @property
-    def n(self) -> int:
-        return self.u.shape[0]
 
-
-class LDUTangent:
+class LDUTangent(_Container):
     """Perturbation triple (a, s, b): strictly lower, diagonal, strictly upper.
 
     Sparsity patterns are imposed exactly on construction (the unit diagonals
@@ -272,7 +265,3 @@ class LDUTangent:
         self.a = _freeze(np.tril(a, -1))
         self.s = _freeze(np.diag(np.diag(s)))
         self.b = _freeze(np.triu(b, 1))
-
-    @property
-    def n(self) -> int:
-        return self.a.shape[0]

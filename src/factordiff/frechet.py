@@ -46,6 +46,7 @@ from .core import (
     QRTangent,
     ToleranceConfig,
     hs_norm,
+    _require_orthogonal,
     _validate_matching,
     split_lower_diag_upper,
     split_skew_upper,
@@ -92,11 +93,13 @@ def _require_diagonal(m: np.ndarray, name: str) -> None:
 
 # One base-point rule per map, shared by its apply and its solve: the factors
 # and any further named matrices pass _validate_matching together, then the
-# factors' exact structure is required.
+# factors' exact structure is required. QR's q must pass QRPair's orthogonality
+# test: QRTangent's skew check alone misses a scaled q, since q^T (q s) = c^2 s.
 
 
-def _qr_base(q, r, **rest) -> tuple:
+def _qr_base(q, r, cfg=DEFAULT_TOLERANCES, **rest) -> tuple:
     q, r, *rest = _validate_matching(q=q, r=r, **rest)
+    _require_orthogonal(q, cfg)
     _require_upper(r, "r")
     return (q, r, *rest)
 
@@ -170,10 +173,10 @@ def qr_derivative_solve(q, r, e, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> Q
     q^T u comes out skew-symmetric and v upper triangular with an exactly
     zero strict lower triangle; e = 0 yields the exactly zero tangent.
 
-    Raises SingularR when a diagonal entry of r is below the singularity
-    threshold.
+    Raises ShapeError unless q is orthogonal and r upper triangular, and
+    SingularR when a diagonal entry of r is below the singularity threshold.
     """
-    q, r, e = _qr_base(q, r, e=e)
+    q, r, e = _qr_base(q, r, cfg, e=e)
     if float(np.min(np.abs(np.diag(r)))) <= cfg.singularity_tol * (1.0 + hs_norm(r)):
         raise SingularR("r has a diagonal entry below the singularity threshold")
     m = _solve_right_triangular(q.T @ e, r)

@@ -10,8 +10,9 @@ four times per interval) when a correction fails.
 
 The three maps differ only in their pieces (components, kernel, product,
 derivative solve and apply, update, chart and domain tests), which one
-private table holds per map; one corrector, one predictor and one tracker
-run from it, and so do the CLI and the derivative check in verify.
+private table holds per map; one step (solve, then update, for a prediction
+and a Newton correction alike), one corrector and one tracker run from it,
+and so do the CLI and the derivative check in verify.
 """
 
 from __future__ import annotations
@@ -226,9 +227,9 @@ def _ldu_domain(a: np.ndarray, t: float, cfg: ToleranceConfig) -> None:
 class _FactorMap:
     """One factorization map, as the corrector, the tracker, the CLI and the
     derivative check use it. Functions take the factor components as
-    separate arrays, in the order of names (tangents in tangent_names)."""
+    separate arrays, in the order of the container's __slots__ (tangents in
+    tangent_names)."""
 
-    names: Tuple[str, ...]
     tangent_names: Tuple[str, ...]
     container: type
     symmetric: bool  # products are symmetric, so inputs and residuals are symmetrized
@@ -244,7 +245,7 @@ class _FactorMap:
     correct: Callable  # (a, guess, cfg) -> (container, iterations)
 
     def parts(self, fac) -> tuple:
-        return tuple(getattr(fac, c) for c in self.names)
+        return tuple(getattr(fac, c) for c in self.container.__slots__)
 
 
 # perfbench/tracing.py wraps the kernels, solves and correctors by replacing
@@ -253,7 +254,6 @@ class _FactorMap:
 # the wrapper, and the traced counts would read 0.
 _MAPS = {
     "qr": _FactorMap(
-        names=("q", "r"),
         tangent_names=("u", "v"),
         container=QRPair,
         symmetric=False,
@@ -269,7 +269,6 @@ _MAPS = {
         correct=lambda a, guess, cfg: qr_newton_correct(a, guess, cfg),
     ),
     "cholesky": _FactorMap(
-        names=("l",),
         tangent_names=("v",),
         container=CholeskyFactor,
         symmetric=True,
@@ -285,7 +284,6 @@ _MAPS = {
         correct=lambda a, guess, cfg: cholesky_newton_correct(a, guess, cfg),
     ),
     "ldu": _FactorMap(
-        names=("l", "d", "u"),
         tangent_names=("a", "s", "b"),
         container=LDUTriple,
         symmetric=False,
@@ -303,12 +301,17 @@ _MAPS = {
 }
 
 
-def _newton_solve(m: _FactorMap, parts: tuple, e: np.ndarray, cfg: ToleranceConfig):
-    # the derivative solve of a prediction or a Newton step; roundoff breaks
-    # the exact symmetry a symmetric map's solve requires
-    if m.symmetric:
+def _step(m: _FactorMap, parts: tuple, e: np.ndarray, cfg: ToleranceConfig):
+    """One step of a prediction or a Newton correction: solve the derivative
+    equation for e at parts, move the parts along the tangent, and refuse an
+    iterate that left the chart. Returns the tangent and the new parts."""
+    if m.symmetric:  # roundoff breaks the exact symmetry the solve requires
         e = 0.5 * (e + e.T)
-    return m.solve(*parts, e, cfg)
+    tan = m.solve(*parts, e, cfg)
+    parts = m.update(*parts, tan, cfg)
+    if m.off_chart(*parts, cfg):
+        raise ConvergedOutsideChart(m.chart_error)
+    return tan, parts
 
 
 def _correct(m: _FactorMap, a, guess, cfg: ToleranceConfig, max_iters: int):
@@ -316,6 +319,8 @@ def _correct(m: _FactorMap, a, guess, cfg: ToleranceConfig, max_iters: int):
     a = validate_matrix(a, "a")
     if m.symmetric:
         a = 0.5 * (a + a.T)
+    if guess.n != len(a):
+        raise ShapeError(f"guess has dimension {guess.n}, but a has dimension {len(a)}")
     parts = m.parts(guess)
     tol = cfg.structural_tol * (1.0 + hs_norm(a))
     for it in range(max_iters + 1):
@@ -326,10 +331,7 @@ def _correct(m: _FactorMap, a, guess, cfg: ToleranceConfig, max_iters: int):
             break
         # tan stays bound until the next solve: freeing it within each step let
         # malloc trim and re-fault the heap, ~40% more page faults at n=128
-        tan = _newton_solve(m, parts, residual, cfg)
-        parts = m.update(*parts, tan, cfg)
-        if m.off_chart(*parts, cfg):
-            raise ConvergedOutsideChart(m.chart_error)
+        tan, parts = _step(m, parts, residual, cfg)
     raise NoConvergence(f"residual above tolerance after {max_iters} iterations")
 
 
@@ -347,9 +349,10 @@ def qr_newton_correct(
     corrected pair and the number of steps taken; a guess already within
     tolerance comes back unchanged with zero steps.
 
-    Raises ValueError unless max_iters is a non-negative integer,
-    NoConvergence after max_iters steps, ConvergedOutsideChart if the
-    diagonal of r turns negative, and propagates SingularR from the solve.
+    Raises ValueError unless max_iters is a non-negative integer, ShapeError
+    when the guess and a differ in dimension, NoConvergence after max_iters
+    steps, ConvergedOutsideChart if the diagonal of r turns negative, and
+    propagates SingularR from the solve.
     """
     return _correct(_MAPS["qr"], a, guess, cfg, max_iters)
 
@@ -391,10 +394,11 @@ def _sample(m, path: PathSpec, t: float, cfg: ToleranceConfig, shape=None) -> np
 def _advance(m, path, cfg, current, a_prev, t_prev, t_next, depth):
     a_next = _sample(m, path, t_next, cfg, a_prev.shape)
     try:
-        parts = m.parts(current)
-        tan = _newton_solve(m, parts, a_next - a_prev, cfg)
+        # tan stays bound through the correction, as the corrector's does;
+        # rebinding guess lets the raw parts go once the container copied them
+        tan, guess = _step(m, m.parts(current), a_next - a_prev, cfg)
         # the container's checks vet the prediction before it is corrected
-        guess = m.container(*m.update(*parts, tan, cfg), cfg)
+        guess = m.container(*guess, cfg)
         corrected, iters = m.correct(a_next, guess, cfg)
         return corrected, a_next, iters
     except _STEP_FAILURES:

@@ -95,9 +95,21 @@ class _Violations:
         if not ok:
             self.worst = max(self.worst, 2.0 * self.headline)
 
-    @property
-    def passed(self) -> bool:
-        return self.worst <= self.headline
+    def result(self, name: str, trials: int, seed: int, detail: str) -> CheckResult:
+        return CheckResult(
+            name=name,
+            passed=self.worst <= self.headline,
+            trials=trials,
+            worst_violation=self.worst,
+            seed=seed,
+            detail=detail,
+        )
+
+
+def _require_n_max(n_max: int, least: int) -> None:
+    # below it rng.integers sees an empty range and raises "low >= high"
+    if n_max < least:
+        raise ValueError(f"n_max must be at least {least}, got {n_max}")
 
 
 def _random_square(rng, n: int) -> np.ndarray:
@@ -161,6 +173,7 @@ def check_qr_existence_uniqueness(
     with non-negative diagonal (rank-deficient inputs included); invertible
     inputs factor uniquely, so the Householder and Gram-Schmidt kernels must
     agree entrywise."""
+    _require_n_max(n_max, least=1)
     rng = np.random.default_rng(seed)
     log = _Violations(headline=1e-8)
     deficient = 0
@@ -184,17 +197,13 @@ def check_qr_existence_uniqueness(
         other = qr_factor_mgs(a, cfg)
         agree = max(hs_norm(pair.q - other.q), hs_norm(pair.r - other.r))
         log.observe(agree / ((1.0 + hs_norm(a)) * cond_estimate(pair.r)), 1e-9)
-    return CheckResult(
-        name="qr_existence_uniqueness",
-        passed=log.passed,
-        trials=trials,
-        worst_violation=log.worst,
-        seed=seed,
-        detail=(
-            f"{trials} trials ({deficient} rank-deficient); clauses: reconstruction, "
-            "orthogonality and diagonal sign at structural_tol (scaled), kernel "
-            "agreement at 1e-9 (scaled by condition estimate); headline 1e-8"
-        ),
+    return log.result(
+        "qr_existence_uniqueness",
+        trials,
+        seed,
+        f"{trials} trials ({deficient} rank-deficient); clauses: reconstruction, "
+        "orthogonality and diagonal sign at structural_tol (scaled), kernel "
+        "agreement at 1e-9 (scaled by condition estimate); headline 1e-8",
     )
 
 
@@ -207,6 +216,7 @@ def check_qr_properness_identity(
     """Multiplying an upper-triangular factor by an orthogonal one preserves
     the Hilbert-Schmidt norm, so a divergent r forces a divergent product:
     the mechanism that makes the product map proper."""
+    _require_n_max(n_max, least=1)
     rng = np.random.default_rng(seed)
     log = _Violations(headline=1e-12)
     for _ in range(trials):
@@ -220,16 +230,12 @@ def check_qr_properness_identity(
     norms = [hs_norm(q @ (k * np.eye(n))) for k in range(1, 11)]
     for lo, hi in zip(norms, norms[1:]):
         log.require(hi > lo)
-    return CheckResult(
-        name="qr_properness_identity",
-        passed=log.passed,
-        trials=trials,
-        worst_violation=log.worst,
-        seed=seed,
-        detail=(
-            f"{trials} trials; | ||q r|| - ||r|| | <= 1e-12 * (1 + ||r||), plus a "
-            "strictly-increasing norm probe over r_k = k*I; headline 1e-12"
-        ),
+    return log.result(
+        "qr_properness_identity",
+        trials,
+        seed,
+        f"{trials} trials; | ||q r|| - ||r|| | <= 1e-12 * (1 + ||r||), plus a "
+        "strictly-increasing norm probe over r_k = k*I; headline 1e-12",
     )
 
 
@@ -243,6 +249,7 @@ def check_cholesky_theorem(
     positive diagonal, uniquely (refactoring the product reproduces l), and
     the product satisfies ||l l^T||^2 >= tr(l l^T)^2 / n, the bound that
     makes the product map proper."""
+    _require_n_max(n_max, least=1)
     rng = np.random.default_rng(seed)
     log = _Violations(headline=1e-8)
     for _ in range(trials):
@@ -257,17 +264,13 @@ def check_cholesky_theorem(
         log.observe(uniq / ((1.0 + hs_norm(fac.l)) * cond_estimate(fac.l) ** 2), 1e-9)
         slack = (hs_norm(prod) ** 2) - (float(np.trace(prod)) ** 2) / n
         log.observe(max(0.0, -slack), 1e-10)
-    return CheckResult(
-        name="cholesky_theorem",
-        passed=log.passed,
-        trials=trials,
-        worst_violation=log.worst,
-        seed=seed,
-        detail=(
-            f"{trials} SPD trials (m^T m + 1e-3 I); clauses: reconstruction at "
-            "structural_tol, strictly positive diagonal, refactor uniqueness at 1e-9 "
-            "(scaled), trace bound with 1e-10 slack; headline 1e-8"
-        ),
+    return log.result(
+        "cholesky_theorem",
+        trials,
+        seed,
+        f"{trials} SPD trials (m^T m + 1e-3 I); clauses: reconstruction at "
+        "structural_tol, strictly positive diagonal, refactor uniqueness at 1e-9 "
+        "(scaled), trace bound with 1e-10 slack; headline 1e-8",
     )
 
 
@@ -280,6 +283,7 @@ def check_ldu_domain_characterization(
     """No-pivot elimination succeeds exactly when every leading principal
     determinant is numerically nonzero, and on success the k-th leading
     determinant equals the product of the first k diagonal entries of d."""
+    _require_n_max(n_max, least=2)
     rng = np.random.default_rng(seed)
     log = _Violations(headline=1e-8)
     for _ in range(trials):
@@ -316,17 +320,13 @@ def check_ldu_domain_characterization(
         except NotInDomainP as exc:
             log.require(exc.k == expect_k)
         log.require(not in_domain_p(a, cfg))
-    return CheckResult(
-        name="ldu_domain_characterization",
-        passed=log.passed,
-        trials=trials + boundary,
-        worst_violation=log.worst,
-        seed=seed,
-        detail=(
-            f"{trials} random trials plus {boundary} constructed boundary cases; "
-            "success iff all leading determinants clear singularity_tol (scaled), "
-            "determinant ladder vs cumprod of diag(d) at 1e-8 relative; headline 1e-8"
-        ),
+    return log.result(
+        "ldu_domain_characterization",
+        trials + boundary,
+        seed,
+        f"{trials} random trials plus {boundary} constructed boundary cases; "
+        "success iff all leading determinants clear singularity_tol (scaled), "
+        "determinant ladder vs cumprod of diag(d) at 1e-8 relative; headline 1e-8",
     )
 
 
@@ -341,23 +341,23 @@ def check_ldu_nonproperness(
     eps_list = list(eps_list)
     for eps in eps_list:
         a = np.array([[eps, 1.0], [1.0, 0.0]])
-        fac = ldu_factor(a, cfg)
+        try:
+            fac = ldu_factor(a, cfg)
+        except NotInDomainP:  # eps at or below the pivot threshold
+            log.require(False)
+            continue
         log.require(hs_norm(a) <= np.sqrt(2.0 + eps * eps) + 1e-12)
         d22 = float(fac.d[1, 1])
         log.observe(abs(d22 + 1.0 / eps), 1e-6 / eps)
         if eps <= 1e-2:
             log.observe(abs(hs_norm(fac.l) * eps - 1.0), 0.1)
-    return CheckResult(
-        name="ldu_nonproperness",
-        passed=log.passed,
-        trials=len(eps_list),
-        worst_violation=log.worst,
-        seed=0,
-        detail=(
-            f"eps values {eps_list} (deterministic, no randomness); bounded input "
-            "norm, |d22 + 1/eps| <= 1e-6/eps, and ||l|| * eps within 0.1 of 1 for "
-            "eps <= 1e-2; headline 1e-6"
-        ),
+    return log.result(
+        "ldu_nonproperness",
+        len(eps_list),
+        0,
+        f"eps values {eps_list} (deterministic, no randomness); bounded input "
+        "norm, |d22 + 1/eps| <= 1e-6/eps, and ||l|| * eps within 0.1 of 1 for "
+        "eps <= 1e-2; headline 1e-6",
     )
 
 
@@ -370,6 +370,7 @@ def check_derivative_isomorphisms(
     """At interior base points of all three maps, the derivative solve
     inverts the derivative apply, is linear, vanishes exactly at zero, and
     matches central finite differences of the factorization itself."""
+    _require_n_max(n_max, least=2)
     rng = np.random.default_rng(seed)
     log = _Violations(headline=5e-5)
     h = cfg.fd_step
@@ -401,18 +402,14 @@ def check_derivative_isomorphisms(
             fd = max(hs_norm((p - q) / (2.0 * h) - x) for p, q, x in zip(plus, minus, t1))
             log.observe(fd, 5e-5 * cond ** 2)
 
-    return CheckResult(
-        name="derivative_isomorphisms",
-        passed=log.passed,
-        trials=trials,
-        worst_violation=log.worst,
-        seed=seed,
-        detail=(
-            f"{trials} base points per map, n <= {n_max}; round trip at 1e-10 "
-            "(scaled by condition estimate), linearity at 1e-10 relative, exact "
-            "zero at zero, central finite differences at 5e-5 * cond^2 with "
-            f"step {h:g}; headline 5e-5"
-        ),
+    return log.result(
+        "derivative_isomorphisms",
+        trials,
+        seed,
+        f"{trials} base points per map, n <= {n_max}; round trip at 1e-10 "
+        "(scaled by condition estimate), linearity at 1e-10 relative, exact "
+        "zero at zero, central finite differences at 5e-5 * cond^2 with "
+        f"step {h:g}; headline 5e-5",
     )
 
 

@@ -1,11 +1,18 @@
 """Shared random-input generators for the test suite (all seeded by callers)."""
 
+import os
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 from hypothesis import settings
 
 from factordiff import DEFAULT_TOLERANCES, hs_norm, in_domain_p
+
+# Tests that start a fresh interpreter import factordiff from this checkout
+# as well: pytest's pythonpath setting reaches only the running process.
+_SRC = str(Path(__file__).resolve().parent.parent / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")]))
 
 # Property tests replay the same examples on every run (a failure reproduces
 # without a saved database), and no example fails for running slowly on a

@@ -425,3 +425,17 @@ def test_qr_base_point_requires_upper_triangular_r(n):
     tan = QRTangent(np.zeros((n, n)), np.zeros((n, n)), pair.q)
     with pytest.raises(ShapeError, match="r must be upper triangular"):
         qr_derivative_apply(pair.q, r, tan)
+
+
+@pytest.mark.parametrize("n", [6, 40])
+def test_qr_base_point_requires_orthogonal_q(n):
+    # unchecked, 2q passes QRTangent's skew check, since (2q)^T (2q s) = 4 s,
+    # and the solve returns a tangent missing u r + 2q v = e by 19.4 at n=6
+    rng = np.random.default_rng(0)
+    pair = qr_factor(rng.standard_normal((n, n)) + 3.0 * np.eye(n))
+    e = rng.standard_normal((n, n))
+    with pytest.raises(ShapeError, match="q is not orthogonal"):
+        qr_derivative_solve(2.0 * pair.q, pair.r, e)
+    tan = QRTangent(np.zeros((n, n)), np.zeros((n, n)), 2.0 * pair.q)
+    with pytest.raises(ShapeError, match="q is not orthogonal"):
+        qr_derivative_apply(2.0 * pair.q, pair.r, tan)

@@ -332,3 +332,45 @@ def test_corrector_rejects_bad_budget(correct, guess, max_iters):
     # inside range() with a TypeError
     with pytest.raises(ValueError, match="max_iters must be a non-negative integer"):
         correct(np.eye(2), guess, max_iters=max_iters)
+
+
+@pytest.mark.parametrize("n_guess", [1, 2])
+@pytest.mark.parametrize(
+    "correct, a, factor",
+    [
+        (qr_newton_correct, np.full((3, 3), 2.0), qr_factor),
+        (cholesky_newton_correct, np.full((3, 3), 4.0), cholesky_factor),
+        (ldu_newton_correct, np.full((3, 3), 3.0), ldu_factor),
+    ],
+)
+def test_corrector_rejects_a_guess_of_another_dimension(correct, a, factor, n_guess):
+    # unchecked, a 1x1 guess broadcasts against a and comes back as a wrong
+    # answer with no error, and a 2x2 one fails in numpy's broadcasting
+    guess = factor(a[:n_guess, :n_guess] + np.eye(n_guess))
+    with pytest.raises(ShapeError, match=f"guess has dimension {n_guess}, but a has dimension 3"):
+        correct(a, guess)
+
+
+@pytest.mark.parametrize("n", [33, 64])
+def test_tracking_across_the_block_edge_matches_the_kernels(n):
+    # above 32 columns every triangular solve runs block substitution; each
+    # sample of a linear 8-step path must still be the kernel's factorization
+    rng = np.random.default_rng(n)
+    g0, g1 = rng.standard_normal((2, n, n)) / np.sqrt(n)
+    a0, a1 = g0 + 3.0 * np.eye(n), g1 + 3.0 * np.eye(n)
+    s0, s1 = g0 @ g0.T + np.eye(n), g1 @ g1.T + np.eye(n)
+    for track, factor, x0, x1 in (
+        (track_qr, qr_factor, a0, a1),
+        (track_cholesky, cholesky_factor, s0, s1),
+        (track_ldu, ldu_factor, a0, a1),
+    ):
+        report = track(PathSpec(lambda t: (1.0 - t) * x0 + t * x1, steps=8))
+        # Newton still converges on an inexact solve, only more slowly: a
+        # block solve that drops or shifts its coupling takes 4-5 iterations
+        assert max(report.newton_iters) <= 3
+        for t, fac in zip(report.ts, report.factors):
+            a_t = (1.0 - t) * x0 + t * x1
+            oracle = factor(a_t)
+            bound = 1e-8 * (1.0 + hs_norm(a_t))
+            for name in fac.__slots__:
+                assert hs_norm(getattr(fac, name) - getattr(oracle, name)) <= bound

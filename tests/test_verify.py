@@ -1,6 +1,7 @@
 import json
 
 import numpy as np
+import pytest
 
 from factordiff import (
     check_cholesky_theorem,
@@ -104,3 +105,29 @@ class TestReportSerialization:
         for entry in payload:
             assert set(entry) == {"name", "passed", "trials", "worst_violation", "seed", "detail"}
             assert entry["worst_violation"] >= 0.0
+
+
+class TestCheckArguments:
+    def test_ldu_nonproperness_reports_a_refused_eps(self):
+        # at or below 2e-10 the first pivot fails singularity_tol, and the
+        # factorization refuses the input: a failed clause, not an exception
+        res = check_ldu_nonproperness(eps_list=(1e-2, 2e-10))
+        assert not res.passed
+        assert res.trials == 2
+        assert res.worst_violation == 2.0 * 1e-6
+
+    @pytest.mark.parametrize(
+        "check, least",
+        [
+            (check_qr_existence_uniqueness, 1),
+            (check_qr_properness_identity, 1),
+            (check_cholesky_theorem, 1),
+            (check_ldu_domain_characterization, 2),
+            (check_derivative_isomorphisms, 2),
+        ],
+    )
+    def test_n_max_below_its_floor_is_a_value_error(self, check, least):
+        # unchecked, numpy's rng.integers raises "low >= high"
+        with pytest.raises(ValueError, match=f"n_max must be at least {least}, got {least - 1}"):
+            check(trials=3, n_max=least - 1)
+        assert check(trials=3, n_max=least).passed
