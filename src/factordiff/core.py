@@ -4,9 +4,9 @@ splitting primitives, and the factor/tangent container types.
 Structure is treated exactly. Triangular and diagonal sparsity patterns and
 unit diagonals are bit-level facts about the stored arrays: constructors zero
 the structural pattern instead of trusting their inputs. Tolerances enter only
-where floating point makes exactness impossible (orthogonality, symmetry,
-residuals); those comparisons scale the configured tolerance by one plus the
-Hilbert-Schmidt norm of the matrix under test.
+where floating point makes exactness impossible. Every test of a
+ToleranceConfig field goes through its three rules, _scaled, _symmetric and
+_singular_d, except in verify, whose oracles stay independent of this code.
 
 All values are immutable after construction (stored arrays are marked
 read-only) and all operations are pure functions, so everything here is safe
@@ -15,6 +15,7 @@ to share across threads.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,26 +41,24 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ToleranceConfig:
-    """Shared numerical thresholds.
+    """Shared numerical thresholds, applied by three rules.
 
-    structural_tol gates residuals and near-exact structure (orthogonality,
-    symmetry, diagonal signs); comparisons scale it by 1 + the Hilbert-Schmidt
-    norm of the matrix being tested. singularity_tol gates pivot and diagonal
-    magnitudes. fd_step is the step used by finite-difference derivative
-    cross-checks.
+    Relative: a tolerance tested against a matrix m becomes tol * (1 + ||m||)
+    (Hilbert-Schmidt norm). structural_tol gates residuals, orthogonality and
+    diagonal signs; singularity_tol gates pivots, the diagonals of r and l,
+    and the domain tests. Symmetry: ||m - m^T|| is within the relative
+    structural_tol of m. Absolute: each entry of LDU's d clears singularity_tol
+    unscaled, since near the domain boundary d mixes tiny and huge entries.
     """
 
     structural_tol: float = 1e-12
     singularity_tol: float = 1e-10
-    fd_step: float = 1e-6
 
     def __post_init__(self) -> None:
         if not (np.isfinite(self.structural_tol) and self.structural_tol >= 0.0):
             raise ValueError("structural_tol must be finite and non-negative")
         if not (np.isfinite(self.singularity_tol) and self.singularity_tol > 0.0):
             raise ValueError("singularity_tol must be finite and positive")
-        if not (np.isfinite(self.fd_step) and self.fd_step > 0.0):
-            raise ValueError("fd_step must be finite and positive")
 
 
 DEFAULT_TOLERANCES = ToleranceConfig()
@@ -89,10 +88,38 @@ def _validate_matching(**mats) -> tuple:
     return out
 
 
+def _require_count(value, name: str, least: int) -> int:
+    """value as an int, or ValueError when it is a bool, is not integral
+    (operator.index refuses floats, even integral ones) or is below least."""
+    try:
+        count = operator.index(value)
+    except TypeError:
+        count = None
+    # bool is an int subclass, so True would otherwise read as 1
+    if count is None or isinstance(value, bool) or count < least:
+        rule = "a non-negative integer" if least == 0 else f"at least {least}"
+        raise ValueError(f"{name} must be {rule}, got {value!r}")
+    return count
+
+
 def hs_norm(m) -> float:
     """Hilbert-Schmidt (Frobenius) norm: sqrt of the sum of squared entries."""
     arr = np.asarray(m, dtype=np.float64)
     return float(np.sqrt(np.sum(arr * arr)))
+
+
+def _scaled(tol: float, m) -> float:
+    return tol * (1.0 + hs_norm(m))
+
+
+def _symmetric(m: np.ndarray, cfg: ToleranceConfig) -> bool:
+    return hs_norm(m - m.T) <= _scaled(cfg.structural_tol, m)
+
+
+def _singular_d(d: np.ndarray, cfg: ToleranceConfig) -> bool:
+    # absolute, not scaled: near the LDU domain boundary d mixes tiny and huge
+    # entries, so a floor scaled by ||d|| would refuse legitimate blow-up factors
+    return float(np.min(np.abs(np.diag(d)))) <= cfg.singularity_tol
 
 
 def orthogonality_defect(q: np.ndarray) -> float:
@@ -125,7 +152,7 @@ def sym_to_lower(m, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> np.ndarray:
     Raises NotSymmetric when the input's asymmetry exceeds tolerance.
     """
     m = validate_matrix(m, "m")
-    if hs_norm(m - m.T) > cfg.structural_tol * (1.0 + hs_norm(m)):
+    if not _symmetric(m, cfg):
         raise NotSymmetric("matrix is not symmetric within structural tolerance")
     return np.tril(m, -1) + np.diag(0.5 * np.diag(m))
 
@@ -142,7 +169,7 @@ def _freeze(a: np.ndarray) -> np.ndarray:
 
 
 def _require_orthogonal(q: np.ndarray, cfg: ToleranceConfig) -> None:
-    if orthogonality_defect(q) > cfg.structural_tol * (1.0 + hs_norm(q)):
+    if orthogonality_defect(q) > _scaled(cfg.structural_tol, q):
         raise ShapeError("q is not orthogonal within structural tolerance")
 
 
@@ -174,7 +201,7 @@ class QRPair(_Container):
         q, r = _validate_matching(q=q, r=r)
         _require_orthogonal(q, cfg)
         r = np.triu(r)
-        if float(np.min(np.diag(r))) < -cfg.structural_tol * (1.0 + hs_norm(r)):
+        if float(np.min(np.diag(r))) < -_scaled(cfg.structural_tol, r):
             raise ShapeError("r has a negative diagonal entry beyond tolerance")
         self.q = _freeze(q)
         self.r = _freeze(r)
@@ -193,7 +220,7 @@ class CholeskyFactor(_Container):
     def __init__(self, l, cfg: ToleranceConfig = DEFAULT_TOLERANCES):
         l = validate_matrix(l, "l")
         l = np.tril(l)
-        if float(np.min(np.diag(l))) < -cfg.structural_tol * (1.0 + hs_norm(l)):
+        if float(np.min(np.diag(l))) < -_scaled(cfg.structural_tol, l):
             raise ShapeError("l has a negative diagonal entry beyond tolerance")
         self.l = _freeze(l)
 
@@ -206,10 +233,7 @@ class LDUTriple(_Container):
     """Unit-lower l, invertible diagonal d, unit-upper u.
 
     Unit diagonals and sparsity patterns are imposed exactly on construction;
-    every diagonal entry of d must clear the singularity threshold. That
-    threshold is absolute (not norm-scaled): near the domain boundary d holds
-    entries of wildly different magnitudes at once, so scaling by ||d|| would
-    reject legitimate blow-up factors.
+    every diagonal entry of d must clear the absolute singularity floor.
     """
 
     __slots__ = ("l", "d", "u")
@@ -220,7 +244,7 @@ class LDUTriple(_Container):
         l = np.tril(l, -1) + eye
         u = np.triu(u, 1) + eye
         d = np.diag(np.diag(d))
-        if float(np.min(np.abs(np.diag(d)))) <= cfg.singularity_tol:
+        if _singular_d(d, cfg):
             raise SingularD("d has a diagonal entry at or below the singularity threshold")
         self.l = _freeze(l)
         self.d = _freeze(d)
@@ -244,7 +268,7 @@ class QRTangent(_Container):
     def __init__(self, u, v, base_q, cfg: ToleranceConfig = DEFAULT_TOLERANCES):
         u, v, base_q = _validate_matching(u=u, v=v, base_q=base_q)
         w = base_q.T @ u
-        if hs_norm(w + w.T) > cfg.structural_tol * (1.0 + hs_norm(u)):
+        if hs_norm(w + w.T) > _scaled(cfg.structural_tol, u):
             raise ShapeError("base_q^T u is not skew-symmetric within tolerance")
         self.u = _freeze(u)
         self.v = _freeze(np.triu(v))

@@ -27,7 +27,8 @@ from .core import (
     LDUTriple,
     QRPair,
     ToleranceConfig,
-    hs_norm,
+    _scaled,
+    _symmetric,
     validate_matrix,
 )
 from .errors import NotInDomainP, NotPositiveSemiDefinite, NotSymmetric, SingularInput
@@ -84,7 +85,7 @@ def qr_factor_mgs(a, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> QRPair:
     """
     a = validate_matrix(a, "a")
     n = a.shape[0]
-    thresh = cfg.singularity_tol * (1.0 + hs_norm(a))
+    thresh = _scaled(cfg.singularity_tol, a)
     q = np.zeros((n, n))
     r = np.zeros((n, n))
     for k in range(n):
@@ -120,12 +121,11 @@ def cholesky_factor(a, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> CholeskyFac
     Raises NotSymmetric or NotPositiveSemiDefinite (with the pivot index).
     """
     a = validate_matrix(a, "a")
-    scale = 1.0 + hs_norm(a)
-    if hs_norm(a - a.T) > cfg.structural_tol * scale:
+    if not _symmetric(a, cfg):
         raise NotSymmetric("matrix is not symmetric within structural tolerance")
     w = 0.5 * (a + a.T)
     n = a.shape[0]
-    struct = cfg.structural_tol * scale
+    struct = _scaled(cfg.structural_tol, a)
     try:
         l = np.linalg.cholesky(w)
     except np.linalg.LinAlgError:
@@ -166,7 +166,7 @@ def ldu_factor(a, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> LDUTriple:
     # it, and the rows of d @ u above it
     work = validate_matrix(a, "a")
     n = work.shape[0]
-    thresh = cfg.singularity_tol * (1.0 + hs_norm(work))
+    thresh = _scaled(cfg.singularity_tol, work)
     for k0 in range(0, n, _LDU_PANEL):
         k1 = min(k0 + _LDU_PANEL, n)
         for k in range(k0, k1):
@@ -196,37 +196,15 @@ def in_domain_p(a, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> bool:
     return True
 
 
-def _det_cofactor(a: np.ndarray) -> float:
-    n = a.shape[0]
-    if n == 1:
-        return float(a[0, 0])
-    if n == 2:
-        return float(a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0])
-    total = 0.0
-    sign = 1.0
-    for j in range(n):
-        minor = np.delete(a[1:, :], j, axis=1)
-        total += sign * float(a[0, j]) * _det_cofactor(minor)
-        sign = -sign
-    return total
-
-
 def leading_minor_dets(a) -> list[float]:
     """Determinants of the top-left k-by-k blocks for k = 1..n.
 
-    Computed independently of the no-pivot elimination kernel (cofactor
-    expansion up to 4x4, pivoted LU above), so the list can serve as an
-    oracle for the pivot ladder d[0][0], d[0][0]*d[1][1], ... of ldu_factor.
+    Computed by pivoted LU, independently of the no-pivot elimination
+    kernel, so the list can serve as an oracle for the pivot ladder d[0][0],
+    d[0][0]*d[1][1], ... of ldu_factor.
     """
     a = validate_matrix(a, "a")
-    dets = []
-    for k in range(1, a.shape[0] + 1):
-        block = a[:k, :k]
-        if k <= 4:
-            dets.append(_det_cofactor(block))
-        else:
-            dets.append(float(np.linalg.det(block)))
-    return dets
+    return [float(np.linalg.det(a[:k, :k])) for k in range(1, a.shape[0] + 1)]
 
 
 def cond_estimate(m) -> float:

@@ -45,8 +45,10 @@ from .core import (
     LDUTangent,
     QRTangent,
     ToleranceConfig,
-    hs_norm,
     _require_orthogonal,
+    _scaled,
+    _singular_d,
+    _symmetric,
     _validate_matching,
     split_lower_diag_upper,
     split_skew_upper,
@@ -177,7 +179,7 @@ def qr_derivative_solve(q, r, e, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> Q
     SingularR when a diagonal entry of r is below the singularity threshold.
     """
     q, r, e = _qr_base(q, r, cfg, e=e)
-    if float(np.min(np.abs(np.diag(r)))) <= cfg.singularity_tol * (1.0 + hs_norm(r)):
+    if float(np.min(np.abs(np.diag(r)))) <= _scaled(cfg.singularity_tol, r):
         raise SingularR("r has a diagonal entry below the singularity threshold")
     m = _solve_right_triangular(q.T @ e, r)
     s, t = split_skew_upper(m)
@@ -200,9 +202,9 @@ def cholesky_derivative_solve(l, e, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -
     asymmetric e.
     """
     l, e = _cholesky_base(l, e=e)
-    if float(np.min(np.abs(np.diag(l)))) <= cfg.singularity_tol * (1.0 + hs_norm(l)):
+    if float(np.min(np.abs(np.diag(l)))) <= _scaled(cfg.singularity_tol, l):
         raise SingularL("l has a diagonal entry below the singularity threshold")
-    if hs_norm(e - e.T) > cfg.structural_tol * (1.0 + hs_norm(e)):
+    if not _symmetric(e, cfg):
         raise NotSymmetric("e is not symmetric within structural tolerance")
     y = solve_triangular(l, e, lower=True)
     m = solve_triangular(l, y.T, lower=True).T
@@ -222,13 +224,12 @@ def ldu_derivative_apply(l, d, u, tan: LDUTangent) -> np.ndarray:
 def ldu_derivative_solve(l, d, u, e, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> LDUTangent:
     """Tangent triple (a, s, b) with a @ d @ u + l @ s @ u + l @ d @ b = e.
 
-    Raises SingularD when a diagonal entry of d is below the singularity
-    threshold.
+    Raises SingularD when a diagonal entry of d is at or below the absolute
+    singularity floor.
     """
     l, d, u, e = _ldu_base(l, d, u, e=e)
     dvec = np.diag(d)
-    # absolute threshold: blow-up base points mix tiny and huge entries in d
-    if float(np.min(np.abs(dvec))) <= cfg.singularity_tol:
+    if _singular_d(d, cfg):
         raise SingularD("d has a diagonal entry below the singularity threshold")
     y = solve_triangular(l, e, lower=True)
     m = _solve_right_triangular(y, u)

@@ -17,7 +17,6 @@ and so do the CLI and the derivative check in verify.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass, field
 from typing import Callable, List, Tuple
 
@@ -29,12 +28,17 @@ from .core import (
     LDUTriple,
     QRPair,
     ToleranceConfig,
+    _require_count,
+    _scaled,
+    _singular_d,
+    _symmetric,
     hs_norm,
     validate_matrix,
 )
 from .errors import (
     ConvergedOutsideChart,
     NoConvergence,
+    NotSymmetric,
     PathLeavesDomain,
     ShapeError,
     SingularD,
@@ -74,19 +78,6 @@ _STEP_FAILURES = (
     SingularD,
     TooFarFromGroup,
 )
-
-
-def _require_count(value, name: str, least: int) -> int:
-    """value as an int, or ValueError when it is not integral or below least
-    (0 or 1). operator.index refuses floats, even integral ones."""
-    kind = "positive" if least == 1 else "non-negative"
-    try:
-        count = operator.index(value)
-    except TypeError:
-        raise ValueError(f"{name} must be a {kind} integer") from None
-    if count < least:
-        raise ValueError(f"{name} must be a {kind} integer")
-    return count
 
 
 @dataclass(frozen=True)
@@ -149,7 +140,7 @@ def retract_orthogonal(m, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> np.ndarr
             raise TooFarFromGroup("matrix is not within distance 0.5 of the orthogonal group")
     x = m
     for _ in range(60):
-        if defect <= cfg.structural_tol * (1.0 + hs_norm(x)):
+        if defect <= _scaled(cfg.structural_tol, x):
             return x
         x = x @ (1.5 * eye - 0.5 * gram)
         gram = x.T @ x
@@ -197,24 +188,22 @@ def _certified_above(h: np.ndarray, floor: float) -> bool:
 
 
 def _qr_domain(a: np.ndarray, t: float, cfg: ToleranceConfig) -> None:
-    scale = 1.0 + hs_norm(a)
-    floor = (cfg.singularity_tol + _roundoff(len(a))) * scale
+    floor = _scaled(cfg.singularity_tol + _roundoff(len(a)), a)
     if _certified_above(a.T @ a, floor * floor):
         return
     smallest = float(np.linalg.svd(a, compute_uv=False)[-1])
-    if smallest <= cfg.singularity_tol * scale:
+    if smallest <= _scaled(cfg.singularity_tol, a):
         raise PathLeavesDomain(t, f"a(t) numerically singular at t={t:.6g}")
 
 
 def _cholesky_domain(a: np.ndarray, t: float, cfg: ToleranceConfig) -> None:
-    scale = 1.0 + hs_norm(a)
-    if hs_norm(a - a.T) > cfg.structural_tol * scale:
+    if not _symmetric(a, cfg):
         raise PathLeavesDomain(t, f"a(t) not symmetric at t={t:.6g}")
     sym = 0.5 * (a + a.T)
-    if _certified_above(sym, (cfg.singularity_tol + _roundoff(len(a))) * scale):
+    if _certified_above(sym, _scaled(cfg.singularity_tol + _roundoff(len(a)), a)):
         return
     smallest = float(np.linalg.eigvalsh(sym)[0])
-    if smallest <= cfg.singularity_tol * scale:
+    if smallest <= _scaled(cfg.singularity_tol, a):
         raise PathLeavesDomain(t, f"a(t) not positive definite at t={t:.6g}")
 
 
@@ -232,7 +221,7 @@ class _FactorMap:
 
     tangent_names: Tuple[str, ...]
     container: type
-    symmetric: bool  # products are symmetric, so inputs and residuals are symmetrized
+    symmetric: bool  # products are symmetric: inputs must be, and are symmetrized with residuals
     factor: Callable  # (a, cfg) -> container
     product: Callable  # (*parts) -> matrix
     solve: Callable  # (*parts, e, cfg) -> tangent
@@ -293,7 +282,7 @@ _MAPS = {
         apply=lambda l, d, u, tan: ldu_derivative_apply(l, d, u, tan),
         tangent=lambda tan: (tan.a, tan.s, tan.b),
         update=lambda l, d, u, tan, cfg: (l + tan.a, d + tan.s, u + tan.b),
-        off_chart=lambda l, d, u, cfg: float(np.min(np.abs(np.diag(d)))) <= cfg.singularity_tol,
+        off_chart=lambda l, d, u, cfg: _singular_d(d, cfg),
         chart_error="diagonal factor lost invertibility",
         domain=_ldu_domain,
         correct=lambda a, guess, cfg: ldu_newton_correct(a, guess, cfg),
@@ -318,11 +307,13 @@ def _correct(m: _FactorMap, a, guess, cfg: ToleranceConfig, max_iters: int):
     max_iters = _require_count(max_iters, "max_iters", least=0)
     a = validate_matrix(a, "a")
     if m.symmetric:
+        if not _symmetric(a, cfg):
+            raise NotSymmetric("a is not symmetric within structural tolerance")
         a = 0.5 * (a + a.T)
     if guess.n != len(a):
         raise ShapeError(f"guess has dimension {guess.n}, but a has dimension {len(a)}")
     parts = m.parts(guess)
-    tol = cfg.structural_tol * (1.0 + hs_norm(a))
+    tol = _scaled(cfg.structural_tol, a)
     for it in range(max_iters + 1):
         residual = a - m.product(*parts)
         if hs_norm(residual) <= tol:
@@ -367,7 +358,8 @@ def cholesky_newton_correct(
     of the symmetric positive definite matrix a.
 
     The residual is symmetrized before each solve, since roundoff breaks the
-    exact symmetry the solver requires.
+    exact symmetry the solver requires. Raises NotSymmetric when a is not
+    symmetric within structural tolerance.
     """
     return _correct(_MAPS["cholesky"], a, guess, cfg, max_iters)
 

@@ -38,6 +38,7 @@ import numpy as np
 from .core import (
     DEFAULT_TOLERANCES,
     ToleranceConfig,
+    _require_count,
     hs_norm,
     orthogonality_defect,
 )
@@ -66,6 +67,7 @@ __all__ = [
 ]
 
 DEFAULT_EPS_LIST = (1e-1, 1e-2, 1e-3, 1e-4)
+FD_STEP = 1e-6
 
 
 @dataclass(frozen=True)
@@ -104,12 +106,6 @@ class _Violations:
             seed=seed,
             detail=detail,
         )
-
-
-def _require_n_max(n_max: int, least: int) -> None:
-    # below it rng.integers sees an empty range and raises "low >= high"
-    if n_max < least:
-        raise ValueError(f"n_max must be at least {least}, got {n_max}")
 
 
 def _random_square(rng, n: int) -> np.ndarray:
@@ -173,7 +169,8 @@ def check_qr_existence_uniqueness(
     with non-negative diagonal (rank-deficient inputs included); invertible
     inputs factor uniquely, so the Householder and Gram-Schmidt kernels must
     agree entrywise."""
-    _require_n_max(n_max, least=1)
+    trials = _require_count(trials, "trials", least=1)
+    n_max = _require_count(n_max, "n_max", least=1)
     rng = np.random.default_rng(seed)
     log = _Violations(headline=1e-8)
     deficient = 0
@@ -216,7 +213,8 @@ def check_qr_properness_identity(
     """Multiplying an upper-triangular factor by an orthogonal one preserves
     the Hilbert-Schmidt norm, so a divergent r forces a divergent product:
     the mechanism that makes the product map proper."""
-    _require_n_max(n_max, least=1)
+    trials = _require_count(trials, "trials", least=1)
+    n_max = _require_count(n_max, "n_max", least=1)
     rng = np.random.default_rng(seed)
     log = _Violations(headline=1e-12)
     for _ in range(trials):
@@ -249,7 +247,8 @@ def check_cholesky_theorem(
     positive diagonal, uniquely (refactoring the product reproduces l), and
     the product satisfies ||l l^T||^2 >= tr(l l^T)^2 / n, the bound that
     makes the product map proper."""
-    _require_n_max(n_max, least=1)
+    trials = _require_count(trials, "trials", least=1)
+    n_max = _require_count(n_max, "n_max", least=1)
     rng = np.random.default_rng(seed)
     log = _Violations(headline=1e-8)
     for _ in range(trials):
@@ -283,7 +282,8 @@ def check_ldu_domain_characterization(
     """No-pivot elimination succeeds exactly when every leading principal
     determinant is numerically nonzero, and on success the k-th leading
     determinant equals the product of the first k diagonal entries of d."""
-    _require_n_max(n_max, least=2)
+    trials = _require_count(trials, "trials", least=1)
+    n_max = _require_count(n_max, "n_max", least=2)
     rng = np.random.default_rng(seed)
     log = _Violations(headline=1e-8)
     for _ in range(trials):
@@ -339,6 +339,7 @@ def check_ldu_nonproperness(
     bounded products do not bound the factors."""
     log = _Violations(headline=1e-6)
     eps_list = list(eps_list)
+    _require_count(len(eps_list), "len(eps_list)", 1)
     for eps in eps_list:
         a = np.array([[eps, 1.0], [1.0, 0.0]])
         try:
@@ -370,10 +371,11 @@ def check_derivative_isomorphisms(
     """At interior base points of all three maps, the derivative solve
     inverts the derivative apply, is linear, vanishes exactly at zero, and
     matches central finite differences of the factorization itself."""
-    _require_n_max(n_max, least=2)
+    trials = _require_count(trials, "trials", least=1)
+    n_max = _require_count(n_max, "n_max", least=2)
     rng = np.random.default_rng(seed)
     log = _Violations(headline=5e-5)
-    h = cfg.fd_step
+    h = FD_STEP
     for _ in range(trials):
         n = int(rng.integers(2, n_max + 1))
         for kind, m in _MAPS.items():

@@ -43,9 +43,9 @@ from factordiff import (
     track_qr,
 )
 from factordiff.core import DEFAULT_TOLERANCES
+from factordiff.verify import FD_STEP
 
 SINGULARITY_TOL = DEFAULT_TOLERANCES.singularity_tol
-FD_STEP = DEFAULT_TOLERANCES.fd_step
 
 
 def report(num, description, ok, extra=""):

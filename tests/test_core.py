@@ -49,7 +49,6 @@ class TestToleranceConfig:
         cfg = ToleranceConfig()
         assert cfg.structural_tol == 1e-12
         assert cfg.singularity_tol == 1e-10
-        assert cfg.fd_step == 1e-6
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -57,8 +56,8 @@ class TestToleranceConfig:
             {"structural_tol": -1.0},
             {"singularity_tol": 0.0},
             {"singularity_tol": -1e-3},
-            {"fd_step": 0.0},
             {"structural_tol": float("nan")},
+            {"singularity_tol": float("inf")},
         ],
     )
     def test_rejects_bad_fields(self, kwargs):

@@ -14,7 +14,6 @@ from reference_kernels import EPS, substitute
 
 from factordiff import (
     BaseMismatch,
-    DEFAULT_TOLERANCES,
     LDUTangent,
     NotSymmetric,
     QRTangent,
@@ -35,8 +34,7 @@ from factordiff import (
     qr_factor,
 )
 from factordiff.frechet import _solve_right_triangular, solve_triangular
-
-FD_STEP = DEFAULT_TOLERANCES.fd_step
+from factordiff.verify import FD_STEP
 
 
 def unit(e):

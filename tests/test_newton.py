@@ -7,6 +7,7 @@ from factordiff import (
     ConvergedOutsideChart,
     LDUTriple,
     NoConvergence,
+    NotSymmetric,
     PathLeavesDomain,
     PathSpec,
     QRPair,
@@ -177,6 +178,9 @@ class TestPathSpec:
             PathSpec(evaluate=lambda t: np.eye(2), steps=2.5)
         with pytest.raises(ValueError):
             PathSpec(evaluate=lambda t: np.eye(2), steps="8")
+        # bool is an int subclass: unchecked, True reads as one step
+        with pytest.raises(ValueError, match="steps must be at least 1, got True"):
+            PathSpec(evaluate=lambda t: np.eye(2), steps=True)
 
     def test_accepts_integer_like_steps(self):
         report = track_qr(PathSpec(lambda t: np.eye(2), steps=np.int64(3)))
@@ -332,6 +336,17 @@ def test_corrector_rejects_bad_budget(correct, guess, max_iters):
     # inside range() with a TypeError
     with pytest.raises(ValueError, match="max_iters must be a non-negative integer"):
         correct(np.eye(2), guess, max_iters=max_iters)
+
+
+def test_cholesky_corrector_rejects_an_asymmetric_a():
+    # unchecked, a was symmetrized silently: 4 iterations returned a factor
+    # whose product missed a by 0.707
+    g = np.random.default_rng(0).standard_normal((4, 4))
+    s = g @ g.T + 4.0 * np.eye(4)
+    a = s.copy()
+    a[0, 3] += 1.0
+    with pytest.raises(NotSymmetric, match="a is not symmetric"):
+        cholesky_newton_correct(a, cholesky_factor(s))
 
 
 @pytest.mark.parametrize("n_guess", [1, 2])

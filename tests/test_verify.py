@@ -44,11 +44,10 @@ class TestIndividualChecks:
         assert res.passed
         assert res.trials == 4
 
-    def test_ldu_nonproperness_empty_is_vacuous(self):
-        res = check_ldu_nonproperness(eps_list=())
-        assert res.passed
-        assert res.trials == 0
-        assert res.worst_violation == 0.0
+    def test_ldu_nonproperness_empty_is_a_value_error(self):
+        # unchecked, an empty list passes with 0 trials
+        with pytest.raises(ValueError, match=r"len\(eps_list\) must be at least 1, got 0"):
+            check_ldu_nonproperness(eps_list=())
 
     def test_derivative_isomorphisms_small(self):
         res = check_derivative_isomorphisms(trials=20, n_max=6, seed=3)
@@ -131,3 +130,12 @@ class TestCheckArguments:
         with pytest.raises(ValueError, match=f"n_max must be at least {least}, got {least - 1}"):
             check(trials=3, n_max=least - 1)
         assert check(trials=3, n_max=least).passed
+        # unchecked, a non-integral n_max ran or failed inside numpy, a negative
+        # trials count was reported as given and 0 trials passed with no trial
+        with pytest.raises(ValueError, match=f"n_max must be at least {least}, got 3.5"):
+            check(trials=3, n_max=3.5)
+        with pytest.raises(ValueError, match="n_max must be at least .*, got True"):
+            check(trials=3, n_max=True)
+        for trials in (-5, 0):
+            with pytest.raises(ValueError, match=f"trials must be at least 1, got {trials}"):
+                check(trials=trials, n_max=least)
