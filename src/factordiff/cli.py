@@ -81,7 +81,7 @@ def _build_path(args) -> PathSpec:
         w = pos - i
         return (1.0 - w) * samples[i] + w * samples[i + 1]
 
-    return PathSpec(evaluate=evaluate, steps=args.steps, description=f"{args.family} family")
+    return PathSpec(evaluate=evaluate, steps=args.steps)
 
 
 def _cmd_track(args) -> int:

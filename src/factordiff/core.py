@@ -2,11 +2,12 @@
 splitting primitives, and the factor/tangent container types.
 
 Structure is treated exactly. Triangular and diagonal sparsity patterns and
-unit diagonals are bit-level facts about the stored arrays: constructors zero
-the structural pattern instead of trusting their inputs. Tolerances enter only
-where floating point makes exactness impossible. Every test of a
-ToleranceConfig field goes through its three rules, _scaled, _symmetric and
-_singular_d, except in verify, whose oracles stay independent of this code.
+unit diagonals are bit-level facts about the stored arrays: _SHAPES names
+each slot structure once, and the containers project their inputs onto it
+instead of trusting them. Tolerances enter only where floating point makes
+exactness impossible. Every test of a ToleranceConfig field goes through its
+three rules, _scaled, _symmetric and _singular_d, except in verify, whose
+oracles stay independent of this code.
 
 All values are immutable after construction (stored arrays are marked
 read-only) and all operations are pure functions, so everything here is safe
@@ -160,7 +161,33 @@ def sym_to_lower(m, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> np.ndarray:
 def split_lower_diag_upper(m):
     """Route entries into (strictly lower, diagonal, strictly upper) parts; exact."""
     m = validate_matrix(m, "m")
-    return np.tril(m, -1), np.diag(np.diag(m)), np.triu(m, 1)
+    return tuple(_SHAPES[shape](m) for shape in LDUTangent._shapes)
+
+
+# The exact structure a factor slot can have, by name: each entry is the
+# projection onto that structure, which a container applies to what it stores
+# and a derivative base point must already equal.
+_SHAPES = {
+    "square": lambda m: m,
+    "upper triangular": np.triu,
+    "lower triangular": np.tril,
+    "strictly upper triangular": lambda m: np.triu(m, 1),
+    "strictly lower triangular": lambda m: np.tril(m, -1),
+    "diagonal": lambda m: np.diag(np.diag(m)),
+    "unit upper triangular": lambda m: np.triu(m, 1) + np.eye(len(m)),
+    "unit lower triangular": lambda m: np.tril(m, -1) + np.eye(len(m)),
+}
+
+
+def _require_shape(m: np.ndarray, name: str, shape: str) -> None:
+    # array_equal counts -0.0 as 0.0, so a zero of either sign is structural
+    if not np.array_equal(_SHAPES[shape](m), m):
+        raise ShapeError(f"{name} must be {shape}")
+
+
+def _require_instance(value, cls: type, name: str) -> None:
+    if not isinstance(value, cls):
+        raise TypeError(f"{name} must be a {cls.__name__}, got {type(value).__name__}")
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -173,11 +200,26 @@ def _require_orthogonal(q: np.ndarray, cfg: ToleranceConfig) -> None:
         raise ShapeError("q is not orthogonal within structural tolerance")
 
 
+def _require_sign(m: np.ndarray, name: str, cfg: ToleranceConfig) -> None:
+    if float(np.min(np.diag(m))) < -_scaled(cfg.structural_tol, m):
+        raise ShapeError(f"{name} has a negative diagonal entry beyond tolerance")
+
+
 class _Container:
-    """The shape every factor and tangent container shares: n is the
-    dimension of the first slot, and the repr is Name(n=...)."""
+    """The shape every factor and tangent container shares. Each slot has
+    one structure from _SHAPES, named in _shapes in __slots__ order; _store
+    validates the inputs together, projects each onto its slot's structure
+    and freezes it, so the subclasses' __init__ keep only numeric checks.
+    n is the dimension of the first slot, and the repr is Name(n=...)."""
 
     __slots__ = ()
+    _shapes: tuple = ()
+
+    def _store(self, *parts) -> None:
+        parts = list(_validate_matching(**dict(zip(self.__slots__, parts))))
+        for name, shape in zip(self.__slots__, self._shapes):
+            # popped, so each validated copy is freed once its projection is stored
+            setattr(self, name, _freeze(_SHAPES[shape](parts.pop(0))))
 
     @property
     def n(self) -> int:
@@ -189,22 +231,16 @@ class _Container:
 
 class QRPair(_Container):
     """Orthogonal factor q paired with an upper-triangular factor r whose
-    diagonal is non-negative.
-
-    The strict lower triangle of r is zeroed on construction; orthogonality of
-    q and the diagonal sign of r are checked against the tolerance config.
-    """
+    diagonal is non-negative; orthogonality of q and the diagonal sign of r
+    are checked against the tolerance config."""
 
     __slots__ = ("q", "r")
+    _shapes = ("square", "upper triangular")
 
     def __init__(self, q, r, cfg: ToleranceConfig = DEFAULT_TOLERANCES):
-        q, r = _validate_matching(q=q, r=r)
-        _require_orthogonal(q, cfg)
-        r = np.triu(r)
-        if float(np.min(np.diag(r))) < -_scaled(cfg.structural_tol, r):
-            raise ShapeError("r has a negative diagonal entry beyond tolerance")
-        self.q = _freeze(q)
-        self.r = _freeze(r)
+        self._store(q, r)
+        _require_orthogonal(self.q, cfg)
+        _require_sign(self.r, "r", cfg)
 
     def product(self) -> np.ndarray:
         """Recompose q @ r."""
@@ -212,17 +248,14 @@ class QRPair(_Container):
 
 
 class CholeskyFactor(_Container):
-    """Lower-triangular factor l with non-negative diagonal; strict upper
-    triangle zeroed on construction."""
+    """Lower-triangular factor l with non-negative diagonal."""
 
     __slots__ = ("l",)
+    _shapes = ("lower triangular",)
 
     def __init__(self, l, cfg: ToleranceConfig = DEFAULT_TOLERANCES):
-        l = validate_matrix(l, "l")
-        l = np.tril(l)
-        if float(np.min(np.diag(l))) < -_scaled(cfg.structural_tol, l):
-            raise ShapeError("l has a negative diagonal entry beyond tolerance")
-        self.l = _freeze(l)
+        self._store(l)
+        _require_sign(self.l, "l", cfg)
 
     def product(self) -> np.ndarray:
         """Recompose l @ l^T."""
@@ -230,25 +263,16 @@ class CholeskyFactor(_Container):
 
 
 class LDUTriple(_Container):
-    """Unit-lower l, invertible diagonal d, unit-upper u.
-
-    Unit diagonals and sparsity patterns are imposed exactly on construction;
-    every diagonal entry of d must clear the absolute singularity floor.
-    """
+    """Unit-lower l, invertible diagonal d, unit-upper u; every diagonal
+    entry of d must clear the absolute singularity floor."""
 
     __slots__ = ("l", "d", "u")
+    _shapes = ("unit lower triangular", "diagonal", "unit upper triangular")
 
     def __init__(self, l, d, u, cfg: ToleranceConfig = DEFAULT_TOLERANCES):
-        l, d, u = _validate_matching(l=l, d=d, u=u)
-        eye = np.eye(l.shape[0])
-        l = np.tril(l, -1) + eye
-        u = np.triu(u, 1) + eye
-        d = np.diag(np.diag(d))
-        if _singular_d(d, cfg):
+        self._store(l, d, u)
+        if _singular_d(self.d, cfg):
             raise SingularD("d has a diagonal entry at or below the singularity threshold")
-        self.l = _freeze(l)
-        self.d = _freeze(d)
-        self.u = _freeze(u)
 
     def product(self) -> np.ndarray:
         """Recompose l @ d @ u."""
@@ -257,35 +281,26 @@ class LDUTriple(_Container):
 
 class QRTangent(_Container):
     """Perturbation (u, v) of an orthogonal/upper-triangular pair, based at
-    base_q: base_q^T u must be skew-symmetric, v upper triangular.
-
-    The strict lower triangle of v is zeroed on construction; skewness of
-    base_q^T u is checked within tolerance.
-    """
+    base_q: base_q^T u must be skew-symmetric within tolerance, v upper
+    triangular."""
 
     __slots__ = ("u", "v", "base_q")
+    _shapes = ("square", "upper triangular", "square")
 
     def __init__(self, u, v, base_q, cfg: ToleranceConfig = DEFAULT_TOLERANCES):
-        u, v, base_q = _validate_matching(u=u, v=v, base_q=base_q)
-        w = base_q.T @ u
-        if hs_norm(w + w.T) > _scaled(cfg.structural_tol, u):
+        self._store(u, v, base_q)
+        w = self.base_q.T @ self.u
+        if hs_norm(w + w.T) > _scaled(cfg.structural_tol, self.u):
             raise ShapeError("base_q^T u is not skew-symmetric within tolerance")
-        self.u = _freeze(u)
-        self.v = _freeze(np.triu(v))
-        self.base_q = _freeze(base_q)
 
 
 class LDUTangent(_Container):
-    """Perturbation triple (a, s, b): strictly lower, diagonal, strictly upper.
-
-    Sparsity patterns are imposed exactly on construction (the unit diagonals
-    of the base point freeze the tangent diagonals of l and u at zero).
-    """
+    """Perturbation triple (a, s, b): strictly lower, diagonal, strictly upper
+    (the unit diagonals of the base point freeze the tangent diagonals of l
+    and u at zero)."""
 
     __slots__ = ("a", "s", "b")
+    _shapes = ("strictly lower triangular", "diagonal", "strictly upper triangular")
 
     def __init__(self, a, s, b):
-        a, s, b = _validate_matching(a=a, s=s, b=b)
-        self.a = _freeze(np.tril(a, -1))
-        self.s = _freeze(np.diag(np.diag(s)))
-        self.b = _freeze(np.triu(b, 1))
+        self._store(a, s, b)

@@ -182,8 +182,8 @@ def ldu_factor(a, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> LDUTriple:
                 work[k + 1:k1, k1:] -= col[:k1 - k - 1, None] * work[k, k1:]
         if k1 < n:
             work[k1:, k1:] -= work[k1:, k0:k1] @ work[k0:k1, k1:]
-    d = np.diag(work)
-    return LDUTriple(work, np.diag(d), np.triu(work, 1) / d[:, None], cfg)
+    # LDUTriple keeps the parts of work that belong to each factor
+    return LDUTriple(work, work, work / np.diag(work)[:, None], cfg)
 
 
 def in_domain_p(a, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> bool:

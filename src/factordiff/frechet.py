@@ -42,10 +42,15 @@ import numpy as np
 
 from .core import (
     DEFAULT_TOLERANCES,
+    CholeskyFactor,
     LDUTangent,
+    LDUTriple,
+    QRPair,
     QRTangent,
     ToleranceConfig,
+    _require_instance,
     _require_orthogonal,
+    _require_shape,
     _scaled,
     _singular_d,
     _symmetric,
@@ -73,53 +78,17 @@ __all__ = [
 ]
 
 
-def _require_lower(m: np.ndarray, name: str) -> None:
-    if np.any(np.triu(m, 1) != 0.0):
-        raise ShapeError(f"{name} must be lower triangular (exact zeros above the diagonal)")
-
-
-def _require_upper(m: np.ndarray, name: str) -> None:
-    if np.any(np.tril(m, -1) != 0.0):
-        raise ShapeError(f"{name} must be upper triangular (exact zeros below the diagonal)")
-
-
-def _require_unit_diag(m: np.ndarray, name: str) -> None:
-    if np.any(np.diag(m) != 1.0):
-        raise ShapeError(f"{name} must have a unit diagonal")
-
-
-def _require_diagonal(m: np.ndarray, name: str) -> None:
-    if np.any((m - np.diag(np.diag(m))) != 0.0):
-        raise ShapeError(f"{name} must be diagonal")
-
-
-# One base-point rule per map, shared by its apply and its solve: the factors
-# and any further named matrices pass _validate_matching together, then the
-# factors' exact structure is required. QR's q must pass QRPair's orthogonality
-# test: QRTangent's skew check alone misses a scaled q, since q^T (q s) = c^2 s.
-
-
-def _qr_base(q, r, cfg=DEFAULT_TOLERANCES, **rest) -> tuple:
-    q, r, *rest = _validate_matching(q=q, r=r, **rest)
-    _require_orthogonal(q, cfg)
-    _require_upper(r, "r")
-    return (q, r, *rest)
-
-
-def _cholesky_base(l, **rest) -> tuple:
-    l, *rest = _validate_matching(l=l, **rest)
-    _require_lower(l, "l")
-    return (l, *rest)
-
-
-def _ldu_base(l, d, u, **rest) -> tuple:
-    l, d, u, *rest = _validate_matching(l=l, d=d, u=u, **rest)
-    _require_lower(l, "l")
-    _require_unit_diag(l, "l")
-    _require_upper(u, "u")
-    _require_unit_diag(u, "u")
-    _require_diagonal(d, "d")
-    return (l, d, u, *rest)
+def _base(container, *parts, **rest) -> tuple:
+    """One base-point rule for every map, shared by its apply and its solve:
+    the factors (named by the container's slots) and any further named
+    matrices pass _validate_matching together, then each factor must equal
+    its projection onto the structure its container stores. QR's apply and
+    solve also require an orthogonal q, by QRPair's test: QRTangent's skew
+    check alone misses a scaled q, since q^T (q s) = c^2 s."""
+    out = _validate_matching(**dict(zip(container.__slots__, parts)), **rest)
+    for name, shape, m in zip(container.__slots__, container._shapes, out):
+        _require_shape(m, name, shape)
+    return out
 
 
 _BLOCK = 32
@@ -160,8 +129,10 @@ def _solve_right_triangular(c, r, lower=False):
 
 def qr_derivative_apply(q, r, tan: QRTangent) -> np.ndarray:
     """First-order response u @ r + q @ v of the product q @ r to the
-    tangent (u, v). The tangent must be based at this q."""
-    q, r = _qr_base(q, r)
+    tangent (u, v). The tangent must be a QRTangent based at this q."""
+    _require_instance(tan, QRTangent, "tan")
+    q, r = _base(QRPair, q, r)
+    _require_orthogonal(q, DEFAULT_TOLERANCES)
     if tan.n != len(q):
         raise ShapeError("tangent dimension does not match the base point")
     if not np.array_equal(tan.base_q, q):
@@ -178,7 +149,8 @@ def qr_derivative_solve(q, r, e, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> Q
     Raises ShapeError unless q is orthogonal and r upper triangular, and
     SingularR when a diagonal entry of r is below the singularity threshold.
     """
-    q, r, e = _qr_base(q, r, cfg, e=e)
+    q, r, e = _base(QRPair, q, r, e=e)
+    _require_orthogonal(q, cfg)
     if float(np.min(np.abs(np.diag(r)))) <= _scaled(cfg.singularity_tol, r):
         raise SingularR("r has a diagonal entry below the singularity threshold")
     m = _solve_right_triangular(q.T @ e, r)
@@ -189,8 +161,8 @@ def qr_derivative_solve(q, r, e, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> Q
 def cholesky_derivative_apply(l, v) -> np.ndarray:
     """First-order response l @ v^T + v @ l^T (always symmetric) of the
     product l @ l^T to a lower-triangular tangent v."""
-    l, v = _cholesky_base(l, v=v)
-    _require_lower(v, "v")
+    l, v = _base(CholeskyFactor, l, v=v)
+    _require_shape(v, "v", "lower triangular")
     return l @ v.T + v @ l.T
 
 
@@ -201,7 +173,7 @@ def cholesky_derivative_solve(l, e, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -
     Raises SingularL on a near-zero diagonal of l, NotSymmetric on
     asymmetric e.
     """
-    l, e = _cholesky_base(l, e=e)
+    l, e = _base(CholeskyFactor, l, e=e)
     if float(np.min(np.abs(np.diag(l)))) <= _scaled(cfg.singularity_tol, l):
         raise SingularL("l has a diagonal entry below the singularity threshold")
     if not _symmetric(e, cfg):
@@ -214,8 +186,9 @@ def cholesky_derivative_solve(l, e, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -
 
 def ldu_derivative_apply(l, d, u, tan: LDUTangent) -> np.ndarray:
     """First-order response a @ d @ u + l @ s @ u + l @ d @ b of the product
-    l @ d @ u to the tangent triple (a, s, b)."""
-    l, d, u = _ldu_base(l, d, u)
+    l @ d @ u to the tangent triple (a, s, b), an LDUTangent."""
+    _require_instance(tan, LDUTangent, "tan")
+    l, d, u = _base(LDUTriple, l, d, u)
     if tan.n != len(l):
         raise ShapeError("tangent dimension does not match the base point")
     return tan.a @ d @ u + l @ tan.s @ u + l @ d @ tan.b
@@ -227,7 +200,7 @@ def ldu_derivative_solve(l, d, u, e, cfg: ToleranceConfig = DEFAULT_TOLERANCES) 
     Raises SingularD when a diagonal entry of d is at or below the absolute
     singularity floor.
     """
-    l, d, u, e = _ldu_base(l, d, u, e=e)
+    l, d, u, e = _base(LDUTriple, l, d, u, e=e)
     dvec = np.diag(d)
     if _singular_d(d, cfg):
         raise SingularD("d has a diagonal entry below the singularity threshold")

@@ -29,6 +29,7 @@ from .core import (
     QRPair,
     ToleranceConfig,
     _require_count,
+    _require_instance,
     _scaled,
     _singular_d,
     _symmetric,
@@ -91,7 +92,6 @@ class PathSpec:
 
     evaluate: Callable[[float], np.ndarray]
     steps: int = 64
-    description: str = ""
 
     def __post_init__(self) -> None:
         if not callable(self.evaluate):
@@ -251,7 +251,7 @@ _MAPS = {
         solve=lambda q, r, e, cfg: qr_derivative_solve(q, r, e, cfg),
         apply=lambda q, r, tan: qr_derivative_apply(q, r, tan),
         tangent=lambda tan: (tan.u, tan.v),
-        update=lambda q, r, tan, cfg: (retract_orthogonal(q + tan.u, cfg), np.triu(r + tan.v)),
+        update=lambda q, r, tan, cfg: (retract_orthogonal(q + tan.u, cfg), r + tan.v),
         off_chart=lambda q, r, cfg: np.any(np.diag(r) < 0.0),
         chart_error="diagonal of r went negative",
         domain=_qr_domain,
@@ -304,6 +304,7 @@ def _step(m: _FactorMap, parts: tuple, e: np.ndarray, cfg: ToleranceConfig):
 
 
 def _correct(m: _FactorMap, a, guess, cfg: ToleranceConfig, max_iters: int):
+    _require_instance(guess, m.container, "guess")
     max_iters = _require_count(max_iters, "max_iters", least=0)
     a = validate_matrix(a, "a")
     if m.symmetric:
@@ -340,10 +341,11 @@ def qr_newton_correct(
     corrected pair and the number of steps taken; a guess already within
     tolerance comes back unchanged with zero steps.
 
-    Raises ValueError unless max_iters is a non-negative integer, ShapeError
-    when the guess and a differ in dimension, NoConvergence after max_iters
-    steps, ConvergedOutsideChart if the diagonal of r turns negative, and
-    propagates SingularR from the solve.
+    Raises TypeError unless guess is a QRPair (each corrector requires its
+    own map's container), ValueError unless max_iters is a non-negative
+    integer, ShapeError when the guess and a differ in dimension,
+    NoConvergence after max_iters steps, ConvergedOutsideChart if the
+    diagonal of r turns negative, and propagates SingularR from the solve.
     """
     return _correct(_MAPS["qr"], a, guess, cfg, max_iters)
 

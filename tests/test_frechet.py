@@ -14,8 +14,11 @@ from reference_kernels import EPS, substitute
 
 from factordiff import (
     BaseMismatch,
+    CholeskyFactor,
     LDUTangent,
+    LDUTriple,
     NotSymmetric,
+    QRPair,
     QRTangent,
     ShapeError,
     SingularD,
@@ -437,3 +440,94 @@ def test_qr_base_point_requires_orthogonal_q(n):
     tan = QRTangent(np.zeros((n, n)), np.zeros((n, n)), 2.0 * pair.q)
     with pytest.raises(ShapeError, match="q is not orthogonal"):
         qr_derivative_apply(2.0 * pair.q, pair.r, tan)
+
+
+@pytest.mark.parametrize(
+    "kind, slot, i, j, value",
+    [
+        ("cholesky", "l", 0, 2, 0.5),
+        ("ldu", "l", 1, 3, 0.5),
+        ("ldu", "l", 2, 2, 1.5),
+        ("ldu", "u", 0, 0, 0.5),
+        ("ldu", "d", 3, 1, 0.5),
+        ("ldu", "u", 3, 0, 0.5),
+    ],
+    ids=["cholesky-l-above", "ldu-l-above", "ldu-l-diagonal", "ldu-u-diagonal",
+         "ldu-d-off-diagonal", "ldu-u-below"],
+)
+def test_base_point_refuses_a_stray_entry(kind, slot, i, j, value):
+    # one entry off the slot's structure: both directions refuse it, naming
+    # the slot, instead of differentiating at a point outside the map's domain
+    rng = np.random.default_rng(7)
+    zero = np.zeros((4, 4))
+    if kind == "cholesky":
+        fac = cholesky_factor(random_spd(rng, 4))
+        calls = (
+            lambda l: cholesky_derivative_apply(l, zero),
+            lambda l: cholesky_derivative_solve(l, np.eye(4)),
+        )
+    else:
+        fac = ldu_factor(random_in_p(rng, 4))
+        calls = (
+            lambda l, d, u: ldu_derivative_apply(l, d, u, LDUTangent(zero, zero, zero)),
+            lambda l, d, u: ldu_derivative_solve(l, d, u, np.eye(4)),
+        )
+    parts = {c: np.array(getattr(fac, c)) for c in fac.__slots__}
+    parts[slot][i, j] = value
+    for call in calls:
+        with pytest.raises(ShapeError, match=rf"^{slot} must "):
+            call(*parts.values())
+
+
+def _dense_qr(rng, n):
+    q = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    r = rng.standard_normal((n, n))
+    np.fill_diagonal(r, 1.0 + np.abs(np.diag(r)))
+    return QRPair(q, r), qr_derivative_solve, qr_derivative_apply
+
+
+def _dense_cholesky(rng, n):
+    l = rng.standard_normal((n, n))
+    np.fill_diagonal(l, 1.0 + np.abs(np.diag(l)))
+    return CholeskyFactor(l), cholesky_derivative_solve, cholesky_derivative_apply
+
+
+def _dense_ldu(rng, n):
+    l, u = (0.3 * rng.standard_normal((n, n)) for _ in range(2))
+    d = rng.standard_normal((n, n)) + 3.0 * np.eye(n)
+    return LDUTriple(l, d, u), ldu_derivative_solve, ldu_derivative_apply
+
+
+@pytest.mark.parametrize("build", [_dense_qr, _dense_cholesky, _dense_ldu])
+@pytest.mark.parametrize("n", [1, 6])
+def test_container_parts_are_a_base_point(build, n):
+    # a container built from dense parts stores exactly the structure that
+    # its map's apply and solve require of a base point
+    rng = np.random.default_rng(n)
+    fac, solve, apply = build(rng, n)
+    parts = tuple(getattr(fac, c) for c in fac.__slots__)
+    e = random_symmetric(rng, n) if len(parts) == 1 else random_square(rng, n)
+    got = apply(*parts, solve(*parts, e))
+    assert hs_norm(got - e) <= 1e-10 * (1.0 + hs_norm(e))
+
+
+@pytest.mark.parametrize(
+    "apply, base, tan, expected",
+    [
+        (qr_derivative_apply, (np.eye(3), np.eye(3)), np.zeros((3, 3)), "QRTangent"),
+        (
+            ldu_derivative_apply,
+            (np.eye(3),) * 3,
+            QRTangent(np.zeros((3, 3)), np.zeros((3, 3)), np.eye(3)),
+            "LDUTangent",
+        ),
+    ],
+    ids=["qr-given-ndarray", "ldu-given-qr-tangent"],
+)
+def test_apply_rejects_another_tangent_type(apply, base, tan, expected):
+    # unchecked, both fail with an AttributeError on the tangent's fields
+    with pytest.raises(TypeError, match=f"tan must be a {expected}, got {type(tan).__name__}"):
+        apply(*base, tan)
+    # the type is checked before any other argument
+    with pytest.raises(TypeError, match=f"tan must be a {expected}"):
+        apply(*(np.full((2, 3), np.nan) for _ in base), tan)

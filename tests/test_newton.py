@@ -349,6 +349,28 @@ def test_cholesky_corrector_rejects_an_asymmetric_a():
         cholesky_newton_correct(a, cholesky_factor(s))
 
 
+@pytest.mark.parametrize(
+    "correct, guess, expected",
+    [
+        (cholesky_newton_correct, ldu_factor, "CholeskyFactor"),
+        (qr_newton_correct, cholesky_factor, "QRPair"),
+        (qr_newton_correct, np.array, "QRPair"),
+    ],
+    ids=["cholesky-given-ldu", "qr-given-cholesky", "qr-given-ndarray"],
+)
+def test_corrector_rejects_another_maps_guess(correct, guess, expected):
+    # unchecked, the Cholesky corrector read LDU's unit-lower l as its guess
+    # and returned a CholeskyFactor after 5 iterations, and the QR corrector
+    # failed with an AttributeError
+    a = 2.0 * np.eye(3)
+    g = guess(a)
+    with pytest.raises(TypeError, match=f"guess must be a {expected}, got {type(g).__name__}"):
+        correct(a, g)
+    # the type is checked before any other argument
+    with pytest.raises(TypeError, match=f"guess must be a {expected}"):
+        correct(np.full((2, 3), np.nan), g, max_iters=-1)
+
+
 @pytest.mark.parametrize("n_guess", [1, 2])
 @pytest.mark.parametrize(
     "correct, a, factor",
