@@ -3,11 +3,12 @@ splitting primitives, and the factor/tangent container types.
 
 Structure is treated exactly. Triangular and diagonal sparsity patterns and
 unit diagonals are bit-level facts about the stored arrays: _SHAPES names
-each slot structure once, and the containers project their inputs onto it
-instead of trusting them. Tolerances enter only where floating point makes
-exactness impossible. Every test of a ToleranceConfig field goes through its
-three rules, _scaled, _symmetric and _singular_d, except in verify, whose
-oracles stay independent of this code.
+each slot structure once, and the containers impose it on their inputs
+instead of trusting them, in place on the one validated copy of each.
+Tolerances enter only where floating point makes exactness impossible.
+Every test of a ToleranceConfig field goes through its three rules,
+_scaled, _symmetric and _singular_d, except in verify, whose oracles stay
+independent of this code.
 
 All values are immutable after construction (stored arrays are marked
 read-only) and all operations are pure functions, so everything here is safe
@@ -16,6 +17,7 @@ to share across threads.
 
 from __future__ import annotations
 
+import functools
 import operator
 from dataclasses import dataclass
 
@@ -73,9 +75,13 @@ def validate_matrix(a, name: str = "matrix") -> np.ndarray:
         raise ShapeError(f"{name} is not convertible to a float matrix: {exc}") from None
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] == 0:
         raise ShapeError(f"{name} must be a non-empty square matrix, got shape {arr.shape}")
+    _require_finite(arr, name)
+    return arr
+
+
+def _require_finite(arr: np.ndarray, name: str) -> None:
     if not np.all(np.isfinite(arr)):
         raise ShapeError(f"{name} contains non-finite entries")
-    return arr
 
 
 def _validate_matching(**mats) -> tuple:
@@ -155,33 +161,71 @@ def sym_to_lower(m, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> np.ndarray:
     m = validate_matrix(m, "m")
     if not _symmetric(m, cfg):
         raise NotSymmetric("matrix is not symmetric within structural tolerance")
+    return _halve_onto_lower(m)
+
+
+def _halve_onto_lower(m: np.ndarray) -> np.ndarray:
+    # sym_to_lower's arithmetic, for an m already known to be symmetric
     return np.tril(m, -1) + np.diag(0.5 * np.diag(m))
 
 
 def split_lower_diag_upper(m):
     """Route entries into (strictly lower, diagonal, strictly upper) parts; exact."""
     m = validate_matrix(m, "m")
-    return tuple(_SHAPES[shape](m) for shape in LDUTangent._shapes)
+    return tuple(_impose(m.copy(), shape) for shape in LDUTangent._shapes)
 
 
-# The exact structure a factor slot can have, by name: each entry is the
-# projection onto that structure, which a container applies to what it stores
-# and a derivative base point must already equal.
+# The exact structure a factor slot can have, by name: the band of offsets
+# j - i of the entries (i, j) it may hold (None: unbounded), every other entry
+# being zero, and whether its diagonal is fixed at one. A container imposes
+# the structure on what it stores, and a derivative base point must already
+# have it.
 _SHAPES = {
-    "square": lambda m: m,
-    "upper triangular": np.triu,
-    "lower triangular": np.tril,
-    "strictly upper triangular": lambda m: np.triu(m, 1),
-    "strictly lower triangular": lambda m: np.tril(m, -1),
-    "diagonal": lambda m: np.diag(np.diag(m)),
-    "unit upper triangular": lambda m: np.triu(m, 1) + np.eye(len(m)),
-    "unit lower triangular": lambda m: np.tril(m, -1) + np.eye(len(m)),
+    "square": (None, None, False),
+    "upper triangular": (0, None, False),
+    "lower triangular": (None, 0, False),
+    "strictly upper triangular": (1, None, False),
+    "strictly lower triangular": (None, -1, False),
+    "diagonal": (0, 0, False),
+    "unit upper triangular": (0, None, True),
+    "unit lower triangular": (None, 0, True),
 }
 
 
+@functools.lru_cache(maxsize=32)
+def _zeros(n: int, shape: str):
+    """Read-only mask of the entries an n-by-n slot of this shape holds at
+    zero, or None when it holds none."""
+    lo, hi, _ = _SHAPES[shape]
+    if lo is None and hi is None:
+        return None
+    offset = np.arange(n) - np.arange(n)[:, None]
+    mask = np.zeros((n, n), dtype=bool)
+    if lo is not None:
+        mask |= offset < lo
+    if hi is not None:
+        mask |= offset > hi
+    return _freeze(mask)
+
+
+def _impose(m: np.ndarray, shape: str) -> np.ndarray:
+    """m given the structure shape, in place; bit for bit what np.tril,
+    np.triu and adding np.eye would return."""
+    mask = _zeros(len(m), shape)
+    if mask is not None:
+        np.copyto(m, 0.0, where=mask)
+    if _SHAPES[shape][2]:
+        m += 0.0  # as adding the identity does, a kept -0.0 becomes +0.0
+        np.fill_diagonal(m, 1.0)
+    return m
+
+
 def _require_shape(m: np.ndarray, name: str, shape: str) -> None:
-    # array_equal counts -0.0 as 0.0, so a zero of either sign is structural
-    if not np.array_equal(_SHAPES[shape](m), m):
+    # -0.0 is falsy, so a zero of either sign is structural
+    mask = _zeros(len(m), shape)
+    if (mask is not None and np.any(m, where=mask)) or (
+        _SHAPES[shape][2] and not np.all(np.diagonal(m) == 1.0)
+    ):
         raise ShapeError(f"{name} must be {shape}")
 
 
@@ -208,18 +252,18 @@ def _require_sign(m: np.ndarray, name: str, cfg: ToleranceConfig) -> None:
 class _Container:
     """The shape every factor and tangent container shares. Each slot has
     one structure from _SHAPES, named in _shapes in __slots__ order; _store
-    validates the inputs together, projects each onto its slot's structure
-    and freezes it, so the subclasses' __init__ keep only numeric checks.
+    validates the inputs together, imposes each slot's structure in place on
+    the one copy validation made, and freezes it, so the subclasses'
+    __init__ keep only numeric checks.
     n is the dimension of the first slot, and the repr is Name(n=...)."""
 
     __slots__ = ()
     _shapes: tuple = ()
 
     def _store(self, *parts) -> None:
-        parts = list(_validate_matching(**dict(zip(self.__slots__, parts))))
-        for name, shape in zip(self.__slots__, self._shapes):
-            # popped, so each validated copy is freed once its projection is stored
-            setattr(self, name, _freeze(_SHAPES[shape](parts.pop(0))))
+        parts = _validate_matching(**dict(zip(self.__slots__, parts)))
+        for name, shape, m in zip(self.__slots__, self._shapes, parts):
+            setattr(self, name, _freeze(_impose(m, shape)))
 
     @property
     def n(self) -> int:

@@ -13,8 +13,17 @@ Three conventions are fixed here and relied on everywhere else:
 * LDU is Gaussian elimination without pivoting: pivoting would compute a
   different map. Its domain is exactly the matrices whose leading principal
   blocks are invertible. The elimination is blocked right-looking, as in
-  LAPACK's getrf without the row interchanges: panels of _LDU_PANEL columns,
-  one matmul per panel for the trailing update.
+  LAPACK's getrf without the row interchanges, over diagonal blocks of
+  _LDU_PANEL columns. The per-pivot rank-1 loop runs only inside a block.
+  The block's panels then take one matmul each against its inverted
+  triangles: l21 = a21 (d11 u11)^-1 and d11 u12 = l11^-1 a12. One more
+  matmul updates the trailing block. Each triangle is inverted by gesv
+  against the identity, which swaps no rows of a triangle with a nonzero
+  diagonal, so the inverse is exactly triangular. Applying inverted diagonal
+  blocks is as stable as substitution while those blocks are well
+  conditioned (Higham, Accuracy and Stability of Numerical Algorithms, 2nd
+  ed., ch. 13). Up to _LDU_PANEL columns the matrix is one block and the
+  result is bit for bit that of the unblocked elimination.
 """
 
 from __future__ import annotations
@@ -27,14 +36,17 @@ from .core import (
     LDUTriple,
     QRPair,
     ToleranceConfig,
+    _impose,
     _scaled,
     _symmetric,
     validate_matrix,
 )
 from .errors import NotInDomainP, NotPositiveSemiDefinite, NotSymmetric, SingularInput
 
-# Column panel width of the blocked LDU elimination. Up to this size the whole
-# matrix is one panel and the elimination is one rank-1 update per pivot.
+# Diagonal block size of the blocked LDU elimination, the only one: rank-1
+# updates stay inside a block, and its panels and the trailing block take
+# one matmul each. Up to this size the whole matrix is one block, and the
+# elimination is the unblocked one, bit for bit.
 _LDU_PANEL = 32
 
 __all__ = [
@@ -173,14 +185,17 @@ def ldu_factor(a, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> LDUTriple:
             p = float(work[k, k])
             if abs(p) <= thresh:
                 raise NotInDomainP(k + 1)
-            col = work[k + 1:, k]
+            col = work[k + 1:k1, k]
             col /= p
-            # within the panel: its columns in every row below, and its rows
-            # in the columns right of it
-            work[k + 1:, k + 1:k1] -= col[:, None] * work[k, k + 1:k1]
-            if k1 < n:
-                work[k + 1:k1, k1:] -= col[:k1 - k - 1, None] * work[k, k1:]
+            work[k + 1:k1, k + 1:k1] -= col[:, None] * work[k, k + 1:k1]
         if k1 < n:
+            # the block now holds l11 below its diagonal and d11 @ u11 on and
+            # above it; np.linalg.inv is gesv against the identity
+            block = work[k0:k1, k0:k1]
+            du11 = _impose(block.copy(), "upper triangular")
+            l11 = _impose(block.copy(), "unit lower triangular")
+            work[k1:, k0:k1] = work[k1:, k0:k1] @ np.linalg.inv(du11)
+            work[k0:k1, k1:] = np.linalg.inv(l11.T).T @ work[k0:k1, k1:]
             work[k1:, k1:] -= work[k1:, k0:k1] @ work[k0:k1, k1:]
     # LDUTriple keeps the parts of work that belong to each factor
     return LDUTriple(work, work, work / np.diag(work)[:, None], cfg)

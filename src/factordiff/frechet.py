@@ -48,6 +48,8 @@ from .core import (
     QRPair,
     QRTangent,
     ToleranceConfig,
+    _halve_onto_lower,
+    _require_finite,
     _require_instance,
     _require_orthogonal,
     _require_shape,
@@ -57,7 +59,6 @@ from .core import (
     _validate_matching,
     split_lower_diag_upper,
     split_skew_upper,
-    sym_to_lower,
 )
 from .errors import (
     BaseMismatch,
@@ -81,8 +82,8 @@ __all__ = [
 def _base(container, *parts, **rest) -> tuple:
     """One base-point rule for every map, shared by its apply and its solve:
     the factors (named by the container's slots) and any further named
-    matrices pass _validate_matching together, then each factor must equal
-    its projection onto the structure its container stores. QR's apply and
+    matrices pass _validate_matching together, then each factor must already
+    have the exact structure its container stores. QR's apply and
     solve also require an orthogonal q, by QRPair's test: QRTangent's skew
     check alone misses a scaled q, since q^T (q s) = c^2 s."""
     out = _validate_matching(**dict(zip(container.__slots__, parts)), **rest)
@@ -127,12 +128,15 @@ def _solve_right_triangular(c, r, lower=False):
     return solve_triangular(r.T, c.T, lower=not lower).T
 
 
-def qr_derivative_apply(q, r, tan: QRTangent) -> np.ndarray:
+def qr_derivative_apply(
+    q, r, tan: QRTangent, cfg: ToleranceConfig = DEFAULT_TOLERANCES
+) -> np.ndarray:
     """First-order response u @ r + q @ v of the product q @ r to the
-    tangent (u, v). The tangent must be a QRTangent based at this q."""
+    tangent (u, v). The tangent must be a QRTangent based at this q, and q
+    orthogonal under cfg, as qr_derivative_solve requires."""
     _require_instance(tan, QRTangent, "tan")
     q, r = _base(QRPair, q, r)
-    _require_orthogonal(q, DEFAULT_TOLERANCES)
+    _require_orthogonal(q, cfg)
     if tan.n != len(q):
         raise ShapeError("tangent dimension does not match the base point")
     if not np.array_equal(tan.base_q, q):
@@ -180,8 +184,11 @@ def cholesky_derivative_solve(l, e, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -
         raise NotSymmetric("e is not symmetric within structural tolerance")
     y = solve_triangular(l, e, lower=True)
     m = solve_triangular(l, y.T, lower=True).T
-    m = 0.5 * (m + m.T)  # the two solves break exact symmetry at roundoff
-    return l @ sym_to_lower(m, cfg)
+    # the two solves break exact symmetry at roundoff; restored exactly, m
+    # needs no symmetry test, but an overflow must still refuse the step
+    m = 0.5 * (m + m.T)
+    _require_finite(m, "m")
+    return l @ _halve_onto_lower(m)
 
 
 def ldu_derivative_apply(l, d, u, tan: LDUTangent) -> np.ndarray:

@@ -19,6 +19,7 @@ from factordiff import (
     sym_to_lower,
     validate_matrix,
 )
+from factordiff.core import _SHAPES, _impose, _require_shape
 
 
 class TestValidateMatrix:
@@ -237,3 +238,85 @@ class TestLDUTangent:
         assert np.array_equal(tan.a, [[0.0, 0.0], [1.0, 0.0]])
         assert np.array_equal(tan.s, np.eye(2))
         assert np.array_equal(tan.b, [[0.0, 1.0], [0.0, 0.0]])
+
+
+# The projections the containers applied before they imposed structure in
+# place, kept as the oracle for _SHAPES.
+ORACLE = {
+    "square": lambda m: m,
+    "upper triangular": np.triu,
+    "lower triangular": np.tril,
+    "strictly upper triangular": lambda m: np.triu(m, 1),
+    "strictly lower triangular": lambda m: np.tril(m, -1),
+    "diagonal": lambda m: np.diag(np.diag(m)),
+    "unit upper triangular": lambda m: np.triu(m, 1) + np.eye(len(m)),
+    "unit lower triangular": lambda m: np.tril(m, -1) + np.eye(len(m)),
+}
+SHAPE_SIZES = [1, 2, 5, 33]
+ULP_OFF_ONE = (np.nextafter(1.0, 0.0), np.nextafter(1.0, 2.0))
+
+
+def planted(rng, n):
+    """Random entries with -0.0 planted in about a fifth of them, and a
+    diagonal of exact ones, ones one ulp off and -0.0."""
+    m = rng.standard_normal((n, n))
+    m[rng.random((n, n)) < 0.2] = -0.0
+    np.fill_diagonal(m, rng.choice([1.0, *ULP_OFF_ONE, -0.0], n))
+    return m
+
+
+class TestShapeStructure:
+    def test_table_names_every_oracle_shape(self):
+        assert set(_SHAPES) == set(ORACLE)
+
+    @pytest.mark.parametrize("shape", sorted(ORACLE))
+    @pytest.mark.parametrize("n", SHAPE_SIZES)
+    def test_impose_matches_the_projection(self, shape, n):
+        rng = np.random.default_rng([151, n])
+        for _ in range(10):
+            m = planted(rng, n)
+            assert _impose(m.copy(), shape).tobytes() == ORACLE[shape](m).tobytes()
+
+    @pytest.mark.parametrize("n", SHAPE_SIZES)
+    def test_containers_store_the_projection(self, n):
+        rng = np.random.default_rng([157, n])
+        q = qr_factor(rng.standard_normal((n, n)) + 3.0 * np.eye(n)).q
+        d = planted(rng, n)
+        np.fill_diagonal(d, 2.0)
+        # -0.0 everywhere keeps base_q^T u exactly zero, hence skew
+        u = np.full((n, n), -0.0)
+        built = [
+            (QRPair, (q, planted(rng, n))),
+            (CholeskyFactor, (planted(rng, n),)),
+            (LDUTriple, (planted(rng, n), d, planted(rng, n))),
+            (QRTangent, (u, planted(rng, n), q)),
+            (LDUTangent, (planted(rng, n), planted(rng, n), planted(rng, n))),
+        ]
+        for cls, parts in built:
+            c = cls(*parts)
+            for name, shape, part in zip(c.__slots__, c._shapes, parts):
+                stored = getattr(c, name)
+                assert stored.tobytes() == ORACLE[shape](part).tobytes()
+                assert not stored.flags.writeable
+                assert not np.shares_memory(stored, part)
+
+    @pytest.mark.parametrize("shape", sorted(ORACLE))
+    @pytest.mark.parametrize("n", SHAPE_SIZES)
+    def test_require_shape_refuses_exactly_what_the_projection_moves(self, shape, n):
+        rng = np.random.default_rng([163, n])
+        for _ in range(20):
+            m = ORACLE[shape](planted(rng, n))
+            i, j = rng.integers(0, n, 2)
+            variants = [m, planted(rng, n)]
+            for value in (-0.0, 0.0, 1.0, *ULP_OFF_ONE, 0.5):
+                v = m.copy()
+                v[i, j] = value
+                variants.append(v)
+            for v in variants:
+                moved = not np.array_equal(ORACLE[shape](v), v)
+                try:
+                    _require_shape(v, "m", shape)
+                except ShapeError:
+                    assert moved
+                else:
+                    assert not moved

@@ -24,6 +24,7 @@ from factordiff import (
     SingularD,
     SingularL,
     SingularR,
+    ToleranceConfig,
     cholesky_derivative_apply,
     cholesky_derivative_solve,
     cholesky_factor,
@@ -35,6 +36,7 @@ from factordiff import (
     qr_derivative_apply,
     qr_derivative_solve,
     qr_factor,
+    sym_to_lower,
 )
 from factordiff.frechet import _solve_right_triangular, solve_triangular
 from factordiff.verify import FD_STEP
@@ -134,6 +136,21 @@ class TestCholeskyDerivative:
     def test_solve_rejects_asymmetric(self):
         with pytest.raises(NotSymmetric):
             cholesky_derivative_solve(np.eye(2), [[0.0, 1.0], [0.0, 0.0]])
+
+    def test_solve_refuses_an_overflow(self):
+        # the tracker counts a ShapeError as a failed step and halves it
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ShapeError, match="m contains non-finite entries"):
+                cholesky_derivative_solve(1e-9 * np.eye(3), 1e300 * np.eye(3))
+
+    @pytest.mark.parametrize("n", [5, 40])
+    def test_solve_halves_as_sym_to_lower(self, n):
+        rng = np.random.default_rng([43, n])
+        l = cholesky_factor(random_spd(rng, n)).l
+        e = random_symmetric(rng, n)
+        m = solve_triangular(l, solve_triangular(l, e, lower=True).T, lower=True).T
+        expected = l @ sym_to_lower(0.5 * (m + m.T))
+        assert cholesky_derivative_solve(l, e).tobytes() == expected.tobytes()
 
 
 class TestLDUDerivative:
@@ -440,6 +457,21 @@ def test_qr_base_point_requires_orthogonal_q(n):
     tan = QRTangent(np.zeros((n, n)), np.zeros((n, n)), 2.0 * pair.q)
     with pytest.raises(ShapeError, match="q is not orthogonal"):
         qr_derivative_apply(2.0 * pair.q, pair.r, tan)
+
+
+def test_qr_apply_tests_q_under_the_solves_cfg():
+    # a loose structural_tol admits q scaled by 1 + 1e-9, which the default
+    # refuses; the apply must accept the tangent the solve returned under cfg
+    cfg = ToleranceConfig(structural_tol=1e-6)
+    rng = np.random.default_rng(0)
+    pair = qr_factor(rng.standard_normal((6, 6)) + 3.0 * np.eye(6))
+    q = (1.0 + 1e-9) * pair.q
+    e = rng.standard_normal((6, 6))
+    tan = qr_derivative_solve(q, pair.r, e, cfg)
+    # u r + q v = c^2 e for q = c (orthogonal)
+    assert hs_norm(qr_derivative_apply(q, pair.r, tan, cfg) - e) <= 1e-8 * hs_norm(e)
+    with pytest.raises(ShapeError, match="q is not orthogonal"):
+        qr_derivative_apply(q, pair.r, tan)
 
 
 @pytest.mark.parametrize(
