@@ -5,6 +5,9 @@ Structure is treated exactly. Triangular and diagonal sparsity patterns and
 unit diagonals are bit-level facts about the stored arrays: _SHAPES names
 each slot structure once, and the containers impose it on their inputs
 instead of trusting them, in place on the one validated copy of each.
+Only arrays the package has just computed skip the copy and the numeric
+tests, through the private _Container._own: the derivative solves' tangents,
+ldu_factor's triple, and the tracker's prediction and iterate once vetted.
 Tolerances enter only where floating point makes exactness impossible.
 Every test of a ToleranceConfig field goes through its three rules,
 _scaled, _symmetric and _singular_d, except in verify, whose oracles stay
@@ -143,11 +146,13 @@ def split_skew_upper(m):
     -m[j][i] above it, 0 on it. The upper part is the remainder m - s. Given
     the two shapes the decomposition is unique.
     """
-    m = validate_matrix(m, "m")
+    return _split_skew_upper(validate_matrix(m, "m"))
+
+
+def _split_skew_upper(m: np.ndarray) -> tuple:
     low = np.tril(m, -1)
     s = low - low.T
-    t = np.triu(m - s)
-    return s, t
+    return s, np.triu(m - s)
 
 
 def sym_to_lower(m, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> np.ndarray:
@@ -171,7 +176,10 @@ def _halve_onto_lower(m: np.ndarray) -> np.ndarray:
 
 def split_lower_diag_upper(m):
     """Route entries into (strictly lower, diagonal, strictly upper) parts; exact."""
-    m = validate_matrix(m, "m")
+    return _split_lower_diag_upper(validate_matrix(m, "m"))
+
+
+def _split_lower_diag_upper(m: np.ndarray) -> tuple:
     return tuple(_impose(m.copy(), shape) for shape in LDUTangent._shapes)
 
 
@@ -261,9 +269,22 @@ class _Container:
     _shapes: tuple = ()
 
     def _store(self, *parts) -> None:
-        parts = _validate_matching(**dict(zip(self.__slots__, parts)))
+        self._fill(_validate_matching(**dict(zip(self.__slots__, parts))))
+
+    def _fill(self, parts) -> None:
         for name, shape, m in zip(self.__slots__, self._shapes, parts):
             setattr(self, name, _freeze(_impose(m, shape)))
+
+    @classmethod
+    def _own(cls, *parts):
+        """The container of square float64 parts the caller has just computed
+        and nobody else holds: structure imposed in place, no copy, no numeric
+        test. A non-finite part raises ShapeError, as the tracker needs."""
+        for name, m in zip(cls.__slots__, parts):
+            _require_finite(m, name)
+        self = object.__new__(cls)
+        self._fill(parts)
+        return self
 
     @property
     def n(self) -> int:

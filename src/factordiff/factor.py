@@ -197,8 +197,11 @@ def ldu_factor(a, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> LDUTriple:
             work[k1:, k0:k1] = work[k1:, k0:k1] @ np.linalg.inv(du11)
             work[k0:k1, k1:] = np.linalg.inv(l11.T).T @ work[k0:k1, k1:]
             work[k1:, k1:] -= work[k1:, k0:k1] @ work[k0:k1, k1:]
-    # LDUTriple keeps the parts of work that belong to each factor
-    return LDUTriple(work, work, work / np.diag(work)[:, None], cfg)
+    # LDUTriple._own imposes each factor's part of work in place, so each
+    # gets its own array; every pivot cleared thresh >= d's singularity floor
+    l, d = work.copy(), np.diag(np.diag(work))
+    work /= np.diag(d)[:, None]
+    return LDUTriple._own(l, d, work)
 
 
 def in_domain_p(a, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> bool:

@@ -11,8 +11,7 @@ solve routines invert it by reducing to a structural split:
              strictly-upper parts, rescaled by d on the outer factors.
 
 No whole factor is ever inverted; every r^-1, l^-1, u^-1, d^-1 is a
-triangular or diagonal solve. Above 32 columns a triangular solve inverts
-only the 32-by-32 diagonal blocks of its triangle.
+triangular or diagonal solve, which inverts at most 32-by-32 diagonal blocks.
 
 Every triangular solve goes through `solve_triangular`, which calls numpy's
 LAPACK gesv, so numpy's OpenBLAS is the only BLAS the package loads. On an
@@ -24,16 +23,17 @@ never pivoted either. Each solve routine checks the diagonal against the
 singularity threshold before it solves.
 
 A triangle of at most 32 columns takes one gesv call. A larger one is solved
-by block substitution: each 32-by-32 diagonal block is inverted by gesv
-against the identity, which returns an exactly triangular inverse, then one
-matmul applies it and one matmul per block subtracts the part already
-solved. gesv on the whole triangle runs getrf over its zero half; at
-n = 128 that took ~0.6 ms per solve against ~0.3 ms blocked. gesv on each
-diagonal block would still pay getrs: ~90 us for a 32-by-32 block with 128
-right-hand sides, against ~35 us to invert the block and ~7 us for the matmul
-(2-vCPU host, default OpenBLAS threads). Applying inverted diagonal blocks
-is as stable as substitution while those blocks are well conditioned
-(Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed., ch. 13).
+by block substitution: each 32-by-32 diagonal block is inverted once per
+triangle per derivative solve (Cholesky's two solves by l share them), by
+gesv against the identity, which returns an exactly triangular inverse. One
+matmul applies it and one matmul per block subtracts the part solved. gesv
+on the whole triangle runs getrf over its zero half; at n = 128 that took
+~0.6 ms per solve against ~0.3 ms blocked. gesv on each diagonal block would
+still pay getrs: ~90 us for a 32-by-32 block with 128 right-hand sides,
+against ~35 us to invert the block and ~7 us for the matmul (2-vCPU host,
+default OpenBLAS threads). Applying inverted diagonal blocks is as stable as
+substitution while those blocks are well conditioned (Higham, Accuracy and
+Stability of Numerical Algorithms, 2nd ed., ch. 13).
 """
 
 from __future__ import annotations
@@ -55,10 +55,10 @@ from .core import (
     _require_shape,
     _scaled,
     _singular_d,
+    _split_lower_diag_upper,
+    _split_skew_upper,
     _symmetric,
     _validate_matching,
-    split_lower_diag_upper,
-    split_skew_upper,
 )
 from .errors import (
     BaseMismatch,
@@ -95,18 +95,17 @@ def _base(container, *parts, **rest) -> tuple:
 _BLOCK = 32
 
 
-def _solve_upper(t, c):
-    n = t.shape[0]
-    if n <= _BLOCK:
-        return np.linalg.solve(t, c)
-    x = np.empty(c.shape)
-    for s in range((n - 1) // _BLOCK * _BLOCK, -1, -_BLOCK):
-        e = min(s + _BLOCK, n)
-        x[s:e] = np.linalg.inv(t[s:e, s:e]) @ (c[s:e] - t[s:e, e:] @ x[e:])
-    return x
+def _inverted_blocks(t, lower=False):
+    """(start, inverse) of each 32-row diagonal block that
+    solve_triangular(t, c, lower) applies, bottom first; None up to 32."""
+    t = t[::-1, ::-1] if lower else t
+    if len(t) <= _BLOCK:
+        return None
+    starts = range((len(t) - 1) // _BLOCK * _BLOCK, -1, -_BLOCK)
+    return [(s, np.linalg.inv(t[s:s + _BLOCK, s:s + _BLOCK])) for s in starts]
 
 
-def solve_triangular(t, c, lower=False):
+def solve_triangular(t, c, lower=False, inverses=None):
     """x with t @ x = c for triangular t with a nonzero diagonal. A lower t
     is solved as t[::-1, ::-1] @ x[::-1] = c[::-1], which is upper
     triangular.
@@ -117,10 +116,17 @@ def solve_triangular(t, c, lower=False):
     subtracts the rows already solved. Its error stays at the level of
     substitution's while every diagonal block is well conditioned; the
     diagonal blocks of a triangle are no worse conditioned than the triangle.
+    inverses, from _inverted_blocks(t, lower), saves inverting them again.
     """
+    if inverses is None:
+        inverses = _inverted_blocks(t, lower)
     if lower:
-        return _solve_upper(t[::-1, ::-1], c[::-1])[::-1]
-    return _solve_upper(t, c)
+        t, c = t[::-1, ::-1], c[::-1]
+    x = np.linalg.solve(t, c) if inverses is None else np.empty(c.shape)
+    for s, inverse in inverses or ():
+        e = s + _BLOCK
+        x[s:e] = inverse @ (c[s:e] - t[s:e, e:] @ x[e:])
+    return x[::-1] if lower else x
 
 
 def _solve_right_triangular(c, r, lower=False):
@@ -157,9 +163,9 @@ def qr_derivative_solve(q, r, e, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> Q
     _require_orthogonal(q, cfg)
     if float(np.min(np.abs(np.diag(r)))) <= _scaled(cfg.singularity_tol, r):
         raise SingularR("r has a diagonal entry below the singularity threshold")
-    m = _solve_right_triangular(q.T @ e, r)
-    s, t = split_skew_upper(m)
-    return QRTangent(q @ s, t @ r, base_q=q, cfg=cfg)
+    # q^T u is skew by construction; QRTangent's test could refuse it near its edge
+    s, t = _split_skew_upper(_solve_right_triangular(q.T @ e, r))
+    return QRTangent._own(q @ s, t @ r, q)
 
 
 def cholesky_derivative_apply(l, v) -> np.ndarray:
@@ -182,8 +188,9 @@ def cholesky_derivative_solve(l, e, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -
         raise SingularL("l has a diagonal entry below the singularity threshold")
     if not _symmetric(e, cfg):
         raise NotSymmetric("e is not symmetric within structural tolerance")
-    y = solve_triangular(l, e, lower=True)
-    m = solve_triangular(l, y.T, lower=True).T
+    inverses = _inverted_blocks(l, lower=True)  # both solves apply the same blocks
+    y = solve_triangular(l, e, lower=True, inverses=inverses)
+    m = solve_triangular(l, y.T, lower=True, inverses=inverses).T
     # the two solves break exact symmetry at roundoff; restored exactly, m
     # needs no symmetry test, but an overflow must still refuse the step
     m = 0.5 * (m + m.T)
@@ -213,7 +220,5 @@ def ldu_derivative_solve(l, d, u, e, cfg: ToleranceConfig = DEFAULT_TOLERANCES) 
         raise SingularD("d has a diagonal entry below the singularity threshold")
     y = solve_triangular(l, e, lower=True)
     m = _solve_right_triangular(y, u)
-    ml, md, mu = split_lower_diag_upper(m)
-    a = (l @ ml) / dvec[None, :]
-    b = (mu / dvec[:, None]) @ u
-    return LDUTangent(a, md, b)
+    ml, md, mu = _split_lower_diag_upper(m)
+    return LDUTangent._own((l @ ml) / dvec[None, :], md, (mu / dvec[:, None]) @ u)

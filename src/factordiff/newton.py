@@ -318,7 +318,8 @@ def _correct(m: _FactorMap, a, guess, cfg: ToleranceConfig, max_iters: int):
     for it in range(max_iters + 1):
         residual = a - m.product(*parts)
         if hs_norm(residual) <= tol:
-            return m.container(*parts, cfg), it
+            # parts are _step's, vetted as in _advance, or the guess's own
+            return (m.container._own(*parts) if it else m.container(*parts, cfg)), it
         if it == max_iters:
             break
         # tan stays bound until the next solve: freeing it within each step let
@@ -388,11 +389,11 @@ def _sample(m, path: PathSpec, t: float, cfg: ToleranceConfig, shape=None) -> np
 def _advance(m, path, cfg, current, a_prev, t_prev, t_next, depth):
     a_next = _sample(m, path, t_next, cfg, a_prev.shape)
     try:
-        # tan stays bound through the correction, as the corrector's does;
-        # rebinding guess lets the raw parts go once the container copied them
+        # tan stays bound through the correction, as the corrector's does
         tan, guess = _step(m, m.parts(current), a_next - a_prev, cfg)
-        # the container's checks vet the prediction before it is corrected
-        guess = m.container(*guess, cfg)
+        # _step's chart test ran the container's numeric test or a stricter
+        # one, and retract_orthogonal's last Gram test is QRPair's, bit for bit
+        guess = m.container._own(*guess)
         corrected, iters = m.correct(a_next, guess, cfg)
         return corrected, a_next, iters
     except _STEP_FAILURES:

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
-from conftest import random_square, random_symmetric
+from conftest import random_diag_shifted, random_square, random_symmetric
 
 from factordiff import (
+    DEFAULT_TOLERANCES,
     CholeskyFactor,
     LDUTangent,
     LDUTriple,
@@ -19,7 +20,8 @@ from factordiff import (
     sym_to_lower,
     validate_matrix,
 )
-from factordiff.core import _SHAPES, _impose, _require_shape
+from factordiff.core import _SHAPES, _Container, _impose, _require_shape
+from factordiff.newton import _MAPS
 
 
 class TestValidateMatrix:
@@ -265,6 +267,23 @@ def planted(rng, n):
     return m
 
 
+def planted_containers(rng, n):
+    """Planted parts for each of the five containers, with the numeric
+    properties their constructors test."""
+    q = qr_factor(rng.standard_normal((n, n)) + 3.0 * np.eye(n)).q
+    d = planted(rng, n)
+    np.fill_diagonal(d, 2.0)
+    # -0.0 everywhere keeps base_q^T u exactly zero, hence skew
+    u = np.full((n, n), -0.0)
+    return [
+        (QRPair, (q, planted(rng, n))),
+        (CholeskyFactor, (planted(rng, n),)),
+        (LDUTriple, (planted(rng, n), d, planted(rng, n))),
+        (QRTangent, (u, planted(rng, n), q)),
+        (LDUTangent, (planted(rng, n), planted(rng, n), planted(rng, n))),
+    ]
+
+
 class TestShapeStructure:
     def test_table_names_every_oracle_shape(self):
         assert set(_SHAPES) == set(ORACLE)
@@ -280,25 +299,38 @@ class TestShapeStructure:
     @pytest.mark.parametrize("n", SHAPE_SIZES)
     def test_containers_store_the_projection(self, n):
         rng = np.random.default_rng([157, n])
-        q = qr_factor(rng.standard_normal((n, n)) + 3.0 * np.eye(n)).q
-        d = planted(rng, n)
-        np.fill_diagonal(d, 2.0)
-        # -0.0 everywhere keeps base_q^T u exactly zero, hence skew
-        u = np.full((n, n), -0.0)
-        built = [
-            (QRPair, (q, planted(rng, n))),
-            (CholeskyFactor, (planted(rng, n),)),
-            (LDUTriple, (planted(rng, n), d, planted(rng, n))),
-            (QRTangent, (u, planted(rng, n), q)),
-            (LDUTangent, (planted(rng, n), planted(rng, n), planted(rng, n))),
-        ]
-        for cls, parts in built:
+        for cls, parts in planted_containers(rng, n):
             c = cls(*parts)
             for name, shape, part in zip(c.__slots__, c._shapes, parts):
                 stored = getattr(c, name)
                 assert stored.tobytes() == ORACLE[shape](part).tobytes()
                 assert not stored.flags.writeable
                 assert not np.shares_memory(stored, part)
+
+    @pytest.mark.parametrize("n", SHAPE_SIZES)
+    def test_own_stores_what_the_constructor_stores(self, n):
+        # _own keeps the arrays it is given, imposed in place and frozen
+        rng = np.random.default_rng([167, n])
+        for cls, parts in planted_containers(rng, n):
+            public = cls(*parts)
+            mine = [p.copy() for p in parts]
+            owned = cls._own(*mine)
+            for name, part in zip(cls.__slots__, mine):
+                stored = getattr(owned, name)
+                assert stored is part
+                assert stored.tobytes() == getattr(public, name).tobytes()
+                assert not stored.flags.writeable
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_own_refuses_a_non_finite_slot(self, bad):
+        # the tracker halves a step on this ShapeError
+        rng = np.random.default_rng(171)
+        for cls, parts in planted_containers(rng, 5):
+            for k, name in enumerate(cls.__slots__):
+                spoiled = [p.copy() for p in parts]
+                spoiled[k][k, 4 - k] = bad
+                with pytest.raises(ShapeError, match=f"^{name} contains non-finite"):
+                    cls._own(*spoiled)
 
     @pytest.mark.parametrize("shape", sorted(ORACLE))
     @pytest.mark.parametrize("n", SHAPE_SIZES)
@@ -320,3 +352,27 @@ class TestShapeStructure:
                     assert moved
                 else:
                     assert not moved
+
+
+@pytest.mark.parametrize("n", [1, 5, 33, 128])
+@pytest.mark.parametrize("kind", sorted(_MAPS))
+def test_built_containers_pass_the_public_constructor(kind, n):
+    """Every tangent a derivative solve returns and every container a
+    corrector returns after a step, both built by _own, is accepted by the
+    public constructor, which stores the same bytes."""
+    m = _MAPS[kind]
+    rng = np.random.default_rng([181, n])
+    if m.symmetric:
+        g = random_square(rng, n)
+        a, e = g @ g.T / n + np.eye(n), random_symmetric(rng, n)
+    else:
+        a, e = random_diag_shifted(rng, n), random_square(rng, n)
+    tan = m.solve(*m.parts(m.factor(a, DEFAULT_TOLERANCES)), e, DEFAULT_TOLERANCES)
+    guess = m.factor(a + 1e-7 * e, DEFAULT_TOLERANCES)
+    corrected, iters = m.correct(a, guess, DEFAULT_TOLERANCES)
+    assert iters >= 1
+    for c in (tan, corrected):
+        if isinstance(c, _Container):  # the Cholesky tangent is an array
+            again = type(c)(*(getattr(c, name) for name in c.__slots__))
+            for name in c.__slots__:
+                assert getattr(again, name).tobytes() == getattr(c, name).tobytes()

@@ -102,6 +102,25 @@ class TestQRDerivativeSolve:
             w = pair.q.T @ tan.u
             assert hs_norm(w + w.T) <= 1e-12 * (1.0 + hs_norm(tan.u))
 
+    def test_solve_keeps_its_tangent_at_the_orthogonality_edge(self):
+        """q = Q (I + F) with F = 1.5e-12 v v^T passes QRPair's test (bound
+        3.4e-12 at n=6), but q^T q s is skew only up to 2 (F s - s F), which
+        QRTangent's test refuses for s = v w^T - w v^T. The solve's own q s is
+        skew by construction, so the solve keeps it: the apply gives e back
+        within verify's round-trip clause."""
+        n = 6
+        rng = np.random.default_rng(11)
+        base = qr_factor(rng.standard_normal((n, n)) + 3.0 * np.eye(n))
+        v, w = np.linalg.qr(rng.standard_normal((n, 2)))[0].T
+        q = base.q @ (np.eye(n) + 1.5e-12 * np.outer(v, v))
+        QRPair(q, base.r)
+        e = 1e3 * base.q @ (np.outer(v, w) - np.outer(w, v)) @ base.r
+        tan = qr_derivative_solve(q, base.r, e)
+        with pytest.raises(ShapeError, match="not skew-symmetric"):
+            QRTangent(tan.u, tan.v, tan.base_q)
+        rt = hs_norm(qr_derivative_apply(q, base.r, tan) - e)
+        assert rt <= 1e-10 * (1.0 + hs_norm(e)) * cond_estimate(base.r)
+
 
 class TestCholeskyDerivative:
     def test_apply_zero(self):
@@ -143,8 +162,10 @@ class TestCholeskyDerivative:
             with pytest.raises(ShapeError, match="m contains non-finite entries"):
                 cholesky_derivative_solve(1e-9 * np.eye(3), 1e300 * np.eye(3))
 
-    @pytest.mark.parametrize("n", [5, 40])
+    @pytest.mark.parametrize("n", [1, 5, 32, 33, 40, 128])
     def test_solve_halves_as_sym_to_lower(self, n):
+        # two plain solve_triangular calls, each inverting its own blocks, are
+        # the oracle for the solve's one set of shared block inverses
         rng = np.random.default_rng([43, n])
         l = cholesky_factor(random_spd(rng, n)).l
         e = random_symmetric(rng, n)
