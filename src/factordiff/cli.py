@@ -119,26 +119,24 @@ def build_parser() -> argparse.ArgumentParser:
         description="Dense matrix factorizations, their derivatives, and factor-path tracking.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    shared = argparse.ArgumentParser(add_help=False)
+    shared.add_argument("--kind", required=True, choices=list(_MAPS))
+    shared.add_argument("--format", default="csv", choices=["csv", "json"])
 
-    p_factor = sub.add_parser("factor", help="factor a matrix read from a file")
-    p_factor.add_argument("--kind", required=True, choices=list(_MAPS))
+    p_factor = sub.add_parser("factor", parents=[shared], help="factor a matrix read from a file")
     p_factor.add_argument("--input", required=True, help="matrix file")
     p_factor.add_argument("--output", required=True, help="output prefix for factor files")
-    p_factor.add_argument("--format", default="csv", choices=["csv", "json"])
     p_factor.set_defaults(handler=_cmd_factor)
 
     p_deriv = sub.add_parser(
-        "derivative", help="solve the factor sensitivity for a perturbation"
+        "derivative", parents=[shared], help="solve the factor sensitivity for a perturbation"
     )
-    p_deriv.add_argument("--kind", required=True, choices=list(_MAPS))
     p_deriv.add_argument("--input", required=True, help="base matrix file")
     p_deriv.add_argument("--perturbation", required=True, help="perturbation matrix file")
     p_deriv.add_argument("--output", required=True, help="output prefix for tangent files")
-    p_deriv.add_argument("--format", default="csv", choices=["csv", "json"])
     p_deriv.set_defaults(handler=_cmd_derivative)
 
-    p_track = sub.add_parser("track", help="track factors along a matrix family")
-    p_track.add_argument("--kind", required=True, choices=list(_MAPS))
+    p_track = sub.add_parser("track", parents=[shared], help="track factors along a matrix family")
     p_track.add_argument(
         "--family", default="linear", choices=["linear", "custom-samples"]
     )
@@ -147,7 +145,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_track.add_argument("--steps", type=int, default=64)
     p_track.add_argument("--output", required=True, help="trajectory CSV file")
-    p_track.add_argument("--format", default="csv", choices=["csv", "json"])
     p_track.set_defaults(handler=_cmd_track)
 
     p_verify = sub.add_parser("verify", help="run the verification suite")

@@ -6,8 +6,8 @@ unit diagonals are bit-level facts about the stored arrays: _SHAPES names
 each slot structure once, and the containers impose it on their inputs
 instead of trusting them, in place on the one validated copy of each.
 Only arrays the package has just computed skip the copy and the numeric
-tests, through the private _Container._own: the derivative solves' tangents,
-ldu_factor's triple, and the tracker's prediction and iterate once vetted.
+tests, through the private _Container._own: the kernels' factors (not
+qr_factor_mgs's), the solves' tangents and the tracker's vetted iterates.
 Tolerances enter only where floating point makes exactness impossible.
 Every test of a ToleranceConfig field goes through its three rules,
 _scaled, _symmetric and _singular_d, except in verify, whose oracles stay
@@ -296,8 +296,8 @@ class _Container:
 
 class QRPair(_Container):
     """Orthogonal factor q paired with an upper-triangular factor r whose
-    diagonal is non-negative; orthogonality of q and the diagonal sign of r
-    are checked against the tolerance config."""
+    diagonal is non-negative; on the arrays a caller passes, orthogonality
+    of q and the diagonal sign of r are checked against the tolerance config."""
 
     __slots__ = ("q", "r")
     _shapes = ("square", "upper triangular")
@@ -313,7 +313,7 @@ class QRPair(_Container):
 
 
 class CholeskyFactor(_Container):
-    """Lower-triangular factor l with non-negative diagonal."""
+    """Lower-triangular factor l with non-negative diagonal, tested on a caller's l."""
 
     __slots__ = ("l",)
     _shapes = ("lower triangular",)

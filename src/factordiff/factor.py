@@ -14,7 +14,7 @@ Three conventions are fixed here and relied on everywhere else:
   different map. Its domain is exactly the matrices whose leading principal
   blocks are invertible. The elimination is blocked right-looking, as in
   LAPACK's getrf without the row interchanges, over diagonal blocks of
-  _LDU_PANEL columns. The per-pivot rank-1 loop runs only inside a block.
+  _BLOCK columns. The per-pivot rank-1 loop runs only inside a block.
   The block's panels then take one matmul each against its inverted
   triangles: l21 = a21 (d11 u11)^-1 and d11 u12 = l11^-1 a12. One more
   matmul updates the trailing block. Each triangle is inverted by gesv
@@ -22,7 +22,7 @@ Three conventions are fixed here and relied on everywhere else:
   diagonal, so the inverse is exactly triangular. Applying inverted diagonal
   blocks is as stable as substitution while those blocks are well
   conditioned (Higham, Accuracy and Stability of Numerical Algorithms, 2nd
-  ed., ch. 13). Up to _LDU_PANEL columns the matrix is one block and the
+  ed., ch. 13). Up to _BLOCK columns the matrix is one block and the
   result is bit for bit that of the unblocked elimination.
 """
 
@@ -42,12 +42,7 @@ from .core import (
     validate_matrix,
 )
 from .errors import NotInDomainP, NotPositiveSemiDefinite, NotSymmetric, SingularInput
-
-# Diagonal block size of the blocked LDU elimination, the only one: rank-1
-# updates stay inside a block, and its panels and the trailing block take
-# one matmul each. Up to this size the whole matrix is one block, and the
-# elimination is the unblocked one, bit for bit.
-_LDU_PANEL = 32
+from .frechet import _BLOCK
 
 __all__ = [
     "qr_factor",
@@ -64,12 +59,15 @@ def qr_factor(a, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> QRPair:
     """Factor a square matrix as q @ r, q orthogonal, r upper triangular with
     non-negative diagonal.
 
-    Total on square inputs, singular ones included. LAPACK's Householder QR
+    Total on square inputs, singular ones included, under any cfg: cfg is
+    unused, kept so that every kernel takes (a, cfg). LAPACK's Householder QR
     gives q and r; a final sign pass flips rows of r and the matching columns
-    of q wherever a diagonal entry of r is negative. For invertible input the
-    result is the unique pair with positive diagonal. For singular input only
-    the product is contractual. The convention is that of LAPACK's reflector:
-    a sub-column x with leading entry alpha is mapped to beta = -sign(alpha)
+    of q wherever a diagonal entry of r is negative. The pair is stored as
+    computed, with no numeric test: LAPACK's q is orthogonal to roundoff, and
+    the sign pass leaves diag(r) >= 0 exactly. For invertible input the result
+    is the unique pair with positive diagonal. For singular input only the
+    product is contractual. The convention is that of LAPACK's reflector: a
+    sub-column x with leading entry alpha is mapped to beta = -sign(alpha)
     ||x||, a zero sub-column gets the identity reflector, and the sign pass
     follows. Where roundoff leaves a nonzero trailing block, the columns of q
     spanning the complement of the range follow that roundoff.
@@ -80,7 +78,7 @@ def qr_factor(a, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> QRPair:
     if np.any(neg):
         r[neg, :] = -r[neg, :]
         q[:, neg] = -q[:, neg]
-    return QRPair(q, r, cfg)
+    return QRPair._own(q, r)
 
 
 def qr_factor_mgs(a, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> QRPair:
@@ -128,7 +126,8 @@ def cholesky_factor(a, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> CholeskyFac
     LAPACK's potrf factors the input first; its factor is returned when every
     squared pivot exceeds the clamp threshold. Otherwise (potrf refuses, or a
     pivot is small enough to clamp) the clamping loop factors the input and
-    gives every verdict and failing pivot index.
+    gives every verdict and failing pivot index. Both leave diag(l) >= 0, so
+    the factor is stored as computed, with no sign test.
 
     Raises NotSymmetric or NotPositiveSemiDefinite (with the pivot index).
     """
@@ -146,7 +145,7 @@ def cholesky_factor(a, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> CholeskyFac
         # every pivot clears the clamp threshold, so the loop below would
         # take the unclamped branch throughout
         if float(np.min(np.diag(l))) ** 2 > struct:
-            return CholeskyFactor(l, cfg)
+            return CholeskyFactor._own(l)
     l = np.zeros((n, n))
     for j in range(n):
         pivot = float(w[j, j] - l[j, :j] @ l[j, :j])
@@ -161,7 +160,7 @@ def cholesky_factor(a, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> CholeskyFac
         else:
             l[j, j] = np.sqrt(pivot)
             l[j + 1:, j] = col / l[j, j]
-    return CholeskyFactor(l, cfg)
+    return CholeskyFactor._own(l)
 
 
 def ldu_factor(a, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> LDUTriple:
@@ -179,8 +178,8 @@ def ldu_factor(a, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> LDUTriple:
     work = validate_matrix(a, "a")
     n = work.shape[0]
     thresh = _scaled(cfg.singularity_tol, work)
-    for k0 in range(0, n, _LDU_PANEL):
-        k1 = min(k0 + _LDU_PANEL, n)
+    for k0 in range(0, n, _BLOCK):
+        k1 = min(k0 + _BLOCK, n)
         for k in range(k0, k1):
             p = float(work[k, k])
             if abs(p) <= thresh:

@@ -92,6 +92,7 @@ def _base(container, *parts, **rest) -> tuple:
     return out
 
 
+# The one diagonal block width, of solve_triangular and of ldu_factor's elimination
 _BLOCK = 32
 
 

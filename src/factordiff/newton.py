@@ -378,49 +378,50 @@ def ldu_newton_correct(
     return _correct(_MAPS["ldu"], a, guess, cfg, max_iters)
 
 
-def _sample(m, path: PathSpec, t: float, cfg: ToleranceConfig, shape=None) -> np.ndarray:
+def _sample(m, path: PathSpec, t: float, cfg: ToleranceConfig, shape=None) -> tuple:
     a = validate_matrix(path.evaluate(t), f"a({t:.6g})")
     if shape is not None and a.shape != shape:
         raise ShapeError(f"a({t:.6g}) has shape {a.shape}, but a(0) has shape {shape}")
     m.domain(a, t, cfg)
-    return a
+    return t, a
 
 
-def _advance(m, path, cfg, current, a_prev, t_prev, t_next, depth):
-    a_next = _sample(m, path, t_next, cfg, a_prev.shape)
+def _advance(m, path, cfg, current, prev, nxt, depth):
+    """The factor at sample nxt = (t, a) from current at prev, and its worst
+    iteration count. A halving samples only its midpoint."""
+    (t_prev, a_prev), (t_next, a_next) = prev, nxt
     try:
         # tan stays bound through the correction, as the corrector's does
         tan, guess = _step(m, m.parts(current), a_next - a_prev, cfg)
         # _step's chart test ran the container's numeric test or a stricter
         # one, and retract_orthogonal's last Gram test is QRPair's, bit for bit
         guess = m.container._own(*guess)
-        corrected, iters = m.correct(a_next, guess, cfg)
-        return corrected, a_next, iters
+        return m.correct(a_next, guess, cfg)
     except _STEP_FAILURES:
         if depth <= 0:
             raise NoConvergence(
                 f"correction failed at t={t_next:.6g} after {_MAX_HALVINGS} step halvings"
             ) from None
-        t_mid = 0.5 * (t_prev + t_next)
-        current, a_mid, it1 = _advance(m, path, cfg, current, a_prev, t_prev, t_mid, depth - 1)
-        corrected, a_next, it2 = _advance(m, path, cfg, current, a_mid, t_mid, t_next, depth - 1)
-        return corrected, a_next, max(it1, it2)
+        mid = _sample(m, path, 0.5 * (t_prev + t_next), cfg, a_prev.shape)
+        current, it1 = _advance(m, path, cfg, current, prev, mid, depth - 1)
+        corrected, it2 = _advance(m, path, cfg, current, mid, nxt, depth - 1)
+        return corrected, max(it1, it2)
 
 
 def _track(m: _FactorMap, path: PathSpec, cfg: ToleranceConfig) -> TrackReport:
     ts = [i / path.steps for i in range(path.steps + 1)]
-    a_prev = _sample(m, path, ts[0], cfg)
-    current = m.factor(a_prev, cfg)
+    prev = _sample(m, path, ts[0], cfg)
+    current = m.factor(prev[1], cfg)
     factors = [current]
     iters = [0]
-    residuals = [hs_norm(a_prev - current.product())]
-    for t_prev, t_next in zip(ts, ts[1:]):
-        current, a_prev, spent = _advance(
-            m, path, cfg, current, a_prev, t_prev, t_next, _MAX_HALVINGS
-        )
+    residuals = [hs_norm(prev[1] - current.product())]
+    for t in ts[1:]:
+        nxt = _sample(m, path, t, cfg, prev[1].shape)
+        current, spent = _advance(m, path, cfg, current, prev, nxt, _MAX_HALVINGS)
+        prev = nxt  # frees the last sample before the residual's temporaries
         factors.append(current)
         iters.append(spent)
-        residuals.append(hs_norm(a_prev - current.product()))
+        residuals.append(hs_norm(prev[1] - current.product()))
     return TrackReport(
         ts=ts,
         factors=factors,

@@ -11,7 +11,10 @@ prints, one per line:
   16-step linear paths per map at n in {2, 5, 16, 40, 64}, from I to
   g/sqrt(n) + 3I, or to g g^T + I for Cholesky, g standard normal from
   default_rng(n); then 64-step track_ldu on [[eps^t, 1], [1, 0]] for
-  eps in {1e-2, 1e-6, 1e-8}, a NoConvergence hashed by its repr;
+  eps in {1e-2, 1e-6, 1e-8}; then the halving paths of track_qr: R(2t) S
+  and R(3t) S at one step, R the rotation and S = diag(1, 2), and the
+  4-step path that jumps from S to R(3) S after t = 0.5. A NoConvergence
+  is hashed by its repr;
 - cli: exit code, stdout and stderr of 15 CLI runs at n=6 (factor,
   derivative and track per map, plus factor of and track from a zero
   matrix per map), then the name and bytes of every file they leave.
@@ -61,6 +64,11 @@ def _hash_report(h, report) -> None:
     h.update(repr((*fields, report.max_residual)).encode())
 
 
+def _rotation(theta):
+    c, s = np.cos(theta), np.sin(theta)
+    return np.array([[c, -s], [s, c]])
+
+
 def track_digest() -> str:
     h = hashlib.sha256()
     for n in (2, 5, 16, 40, 64):
@@ -69,10 +77,20 @@ def track_digest() -> str:
         for track, end in ((track_qr, square), (track_cholesky, spd), (track_ldu, square)):
             path = PathSpec(lambda t, end=end, n=n: (1 - t) * np.eye(n) + t * end, steps=16)
             _hash_report(h, track(path))
-    for eps in (1e-2, 1e-6, 1e-8):
-        path = PathSpec(lambda t, eps=eps: np.array([[eps**t, 1.0], [1.0, 0.0]]), steps=64)
+    paths = [
+        (track_ldu, PathSpec(lambda t, eps=eps: np.array([[eps**t, 1.0], [1.0, 0.0]]), steps=64))
+        for eps in (1e-2, 1e-6, 1e-8)
+    ]
+    # a step of each of these fails and halves, as on the eps = 1e-8 path
+    s = np.diag([1.0, 2.0])
+    paths += [
+        (track_qr, PathSpec(lambda t: _rotation(2.0 * t) @ s, steps=1)),
+        (track_qr, PathSpec(lambda t: _rotation(3.0 * t) @ s, steps=1)),
+        (track_qr, PathSpec(lambda t: s if t <= 0.5 else _rotation(3.0) @ s, steps=4)),
+    ]
+    for track, path in paths:
         try:
-            _hash_report(h, track_ldu(path))
+            _hash_report(h, track(path))
         except NoConvergence as exc:
             h.update(repr(exc).encode())
     return h.hexdigest()

@@ -282,6 +282,17 @@ def _rotation(theta):
     return np.array([[c, -s], [s, c]])
 
 
+def _recording(family):
+    """family as an evaluate that appends each t it is called with to seen."""
+    seen = []
+
+    def evaluate(t):
+        seen.append(t)
+        return family(t)
+
+    return evaluate, seen
+
+
 class TestStepHalving:
     """Paths whose first tracking step fails, so the tracker halves it."""
 
@@ -320,6 +331,27 @@ class TestStepHalving:
         path = PathSpec(lambda t: self.scale if t <= 0.5 else jumped, steps=4)
         with pytest.raises(NoConvergence, match="correction failed at t=0.515625 after 4 step halvings"):
             track_qr(path)
+
+    @pytest.mark.parametrize("turn", [2.0, 3.0], ids=["retraction", "negative-diagonal"])
+    def test_halving_samples_each_t_once(self, turn):
+        # the one step is taken in quarters; re-sampling the right end of
+        # each halved interval made 8 evaluations for these 5 t
+        evaluate, seen = _recording(lambda t: _rotation(turn * t) @ self.scale)
+        report = track_qr(PathSpec(evaluate, steps=1))
+        assert seen == [0.0, 1.0, 0.5, 0.25, 0.75]
+        assert report.ts == [0.0, 1.0]
+        assert report.newton_iters == [0, 4]
+
+
+def test_ldu_halvings_sample_each_t_once():
+    # at eps = 1e-8 the step to t = 0.71875 halves four times and is refused
+    # (until tolerances follow one scale model); re-sampling the right end of
+    # each halved interval made 55 evaluations for these 51 t
+    eps = 1e-8
+    evaluate, seen = _recording(lambda t: np.array([[eps**t, 1.0], [1.0, 0.0]]))
+    with pytest.raises(NoConvergence, match="correction failed at t=0.71875 after 4 step halvings"):
+        track_ldu(PathSpec(evaluate, steps=64))
+    assert len(seen) == len(set(seen)) == 51
 
 
 @pytest.mark.parametrize("max_iters", [-1, 2.5])
