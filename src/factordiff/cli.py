@@ -4,7 +4,7 @@ verification suite.
 
 Exit codes are stable and scriptable:
   0  success
-  1  I/O or parse failure
+  1  I/O or parse failure, a usage error included (--help exits 0)
   2  mathematical domain refusal (not symmetric / not PSD / singular pivot /
      path leaves domain)
   3  numerical failure (no convergence, residual above bound)
@@ -113,8 +113,15 @@ def _cmd_verify(args) -> int:
     return EXIT_OK if all(r.passed for r in results) else EXIT_VERIFY
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        # argparse's own code, 2, is the domain refusal's here
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_IO, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="factordiff",
         description="Dense matrix factorizations, their derivatives, and factor-path tracking.",
     )

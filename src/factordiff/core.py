@@ -71,15 +71,31 @@ DEFAULT_TOLERANCES = ToleranceConfig()
 
 
 def validate_matrix(a, name: str = "matrix") -> np.ndarray:
-    """Coerce input to a finite real square float64 array (always a fresh copy)."""
+    """Coerce input to a finite real square float64 array (always a fresh
+    copy); complex input or an integer beyond float64's range is refused."""
     try:
-        arr = np.array(a, dtype=np.float64, copy=True)
-    except (TypeError, ValueError) as exc:
+        arr = np.array(a, copy=True)  # not straight to float64: it drops imaginary parts
+        if arr.dtype != np.float64:
+            if arr.dtype.kind == "c":
+                raise TypeError("complex entries")
+            arr = arr.astype(np.float64)
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ShapeError(f"{name} is not convertible to a float matrix: {exc}") from None
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] == 0:
         raise ShapeError(f"{name} must be a non-empty square matrix, got shape {arr.shape}")
     _require_finite(arr, name)
     return arr
+
+
+# The one diagonal block width, of frechet.solve_triangular and of
+# factor.ldu_factor's elimination, which apply inverted diagonal blocks of a
+# triangle by matmul. np.linalg.inv is gesv against the identity, which never
+# pivots on an upper triangle with a nonzero diagonal (a lower one is reversed
+# or transposed first), so the inverse is exactly triangular. Applying it is
+# as stable as substitution while the block is well conditioned, and the
+# diagonal blocks of a triangle are no worse conditioned than the triangle
+# (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed., ch. 13).
+_BLOCK = 32
 
 
 def _require_finite(arr: np.ndarray, name: str) -> None:

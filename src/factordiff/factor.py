@@ -17,12 +17,8 @@ Three conventions are fixed here and relied on everywhere else:
   _BLOCK columns. The per-pivot rank-1 loop runs only inside a block.
   The block's panels then take one matmul each against its inverted
   triangles: l21 = a21 (d11 u11)^-1 and d11 u12 = l11^-1 a12. One more
-  matmul updates the trailing block. Each triangle is inverted by gesv
-  against the identity, which swaps no rows of a triangle with a nonzero
-  diagonal, so the inverse is exactly triangular. Applying inverted diagonal
-  blocks is as stable as substitution while those blocks are well
-  conditioned (Higham, Accuracy and Stability of Numerical Algorithms, 2nd
-  ed., ch. 13). Up to _BLOCK columns the matrix is one block and the
+  matmul updates the trailing block. core._BLOCK says why inverting the
+  triangles is safe. Up to _BLOCK columns the matrix is one block and the
   result is bit for bit that of the unblocked elimination.
 """
 
@@ -31,6 +27,7 @@ from __future__ import annotations
 import numpy as np
 
 from .core import (
+    _BLOCK,
     DEFAULT_TOLERANCES,
     CholeskyFactor,
     LDUTriple,
@@ -42,7 +39,6 @@ from .core import (
     validate_matrix,
 )
 from .errors import NotInDomainP, NotPositiveSemiDefinite, NotSymmetric, SingularInput
-from .frechet import _BLOCK
 
 __all__ = [
     "qr_factor",

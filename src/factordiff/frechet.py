@@ -11,29 +11,24 @@ solve routines invert it by reducing to a structural split:
              strictly-upper parts, rescaled by d on the outer factors.
 
 No whole factor is ever inverted; every r^-1, l^-1, u^-1, d^-1 is a
-triangular or diagonal solve, which inverts at most 32-by-32 diagonal blocks.
-
-Every triangular solve goes through `solve_triangular`, which calls numpy's
-LAPACK gesv, so numpy's OpenBLAS is the only BLAS the package loads. On an
-upper-triangular t with a nonzero diagonal, gesv's partial pivoting finds
-only zeros below each pivot: getrf swaps no rows, its multipliers are exactly
-zero and its U is t itself, so getrs reduces to back substitution. A lower t
-is solved as the upper system with its rows and columns reversed, so it is
-never pivoted either. Each solve routine checks the diagonal against the
-singularity threshold before it solves.
+triangular or diagonal solve. Every triangular system is lower triangular:
+l x = c, or t^T x^T = c^T for x t = c with t = r, l^T or u. `solve_triangular`
+solves its reversal, an upper system, by numpy's LAPACK gesv, so numpy's
+OpenBLAS is the only BLAS the package loads. On an upper triangle with a
+nonzero diagonal, gesv's partial pivoting finds only zeros below each pivot:
+getrf swaps no rows, its multipliers are exactly zero and its U is the
+triangle itself, so getrs reduces to back substitution. Each solve routine
+checks the diagonal against the singularity threshold before it solves.
 
 A triangle of at most 32 columns takes one gesv call. A larger one is solved
-by block substitution: each 32-by-32 diagonal block is inverted once per
-triangle per derivative solve (Cholesky's two solves by l share them), by
-gesv against the identity, which returns an exactly triangular inverse. One
-matmul applies it and one matmul per block subtracts the part solved. gesv
-on the whole triangle runs getrf over its zero half; at n = 128 that took
-~0.6 ms per solve against ~0.3 ms blocked. gesv on each diagonal block would
-still pay getrs: ~90 us for a 32-by-32 block with 128 right-hand sides,
-against ~35 us to invert the block and ~7 us for the matmul (2-vCPU host,
-default OpenBLAS threads). Applying inverted diagonal blocks is as stable as
-substitution while those blocks are well conditioned (Higham, Accuracy and
-Stability of Numerical Algorithms, 2nd ed., ch. 13).
+by block substitution: each diagonal block of core._BLOCK columns is inverted
+once per triangle per derivative solve (Cholesky's two solves by l share
+them; core says why that is safe). One matmul applies it and one matmul per
+block subtracts the part solved. gesv on the whole triangle runs getrf over
+its zero half; at n = 128 that took ~0.6 ms per solve against ~0.3 ms
+blocked. gesv on each diagonal block would still pay getrs: ~90 us for a
+32-by-32 block with 128 right-hand sides, against ~35 us to invert the block
+and ~7 us for the matmul (2-vCPU host, default OpenBLAS threads).
 """
 
 from __future__ import annotations
@@ -41,6 +36,7 @@ from __future__ import annotations
 import numpy as np
 
 from .core import (
+    _BLOCK,
     DEFAULT_TOLERANCES,
     CholeskyFactor,
     LDUTangent,
@@ -92,47 +88,32 @@ def _base(container, *parts, **rest) -> tuple:
     return out
 
 
-# The one diagonal block width, of solve_triangular and of ldu_factor's elimination
-_BLOCK = 32
-
-
-def _inverted_blocks(t, lower=False):
-    """(start, inverse) of each 32-row diagonal block that
-    solve_triangular(t, c, lower) applies, bottom first; None up to 32."""
-    t = t[::-1, ::-1] if lower else t
+def _inverted_blocks(t):
+    """(start, inverse) of each 32-row diagonal block of t[::-1, ::-1] that
+    solve_triangular(t, c) applies, bottom first; None up to 32."""
     if len(t) <= _BLOCK:
         return None
+    t = t[::-1, ::-1]
     starts = range((len(t) - 1) // _BLOCK * _BLOCK, -1, -_BLOCK)
     return [(s, np.linalg.inv(t[s:s + _BLOCK, s:s + _BLOCK])) for s in starts]
 
 
-def solve_triangular(t, c, lower=False, inverses=None):
-    """x with t @ x = c for triangular t with a nonzero diagonal. A lower t
-    is solved as t[::-1, ::-1] @ x[::-1] = c[::-1], which is upper
-    triangular.
-
-    Up to 32 columns the upper solve is one gesv call. Beyond, it is back
-    substitution over 32-row blocks: each diagonal block is inverted (gesv
-    against the identity) and applied by one matmul, after one matmul
-    subtracts the rows already solved. Its error stays at the level of
-    substitution's while every diagonal block is well conditioned; the
-    diagonal blocks of a triangle are no worse conditioned than the triangle.
-    inverses, from _inverted_blocks(t, lower), saves inverting them again.
+def solve_triangular(t, c, inverses=None):
+    """x with t @ x = c for lower-triangular t with a nonzero diagonal,
+    solved as t[::-1, ::-1] @ x[::-1] = c[::-1], which is upper triangular:
+    by one gesv call up to 32 columns, beyond by back substitution over
+    32-row blocks, each block's inverse applied by one matmul after one
+    matmul subtracts the rows already solved. inverses, from
+    _inverted_blocks(t), saves inverting the blocks again.
     """
     if inverses is None:
-        inverses = _inverted_blocks(t, lower)
-    if lower:
-        t, c = t[::-1, ::-1], c[::-1]
+        inverses = _inverted_blocks(t)
+    t, c = t[::-1, ::-1], c[::-1]
     x = np.linalg.solve(t, c) if inverses is None else np.empty(c.shape)
     for s, inverse in inverses or ():
         e = s + _BLOCK
         x[s:e] = inverse @ (c[s:e] - t[s:e, e:] @ x[e:])
-    return x[::-1] if lower else x
-
-
-def _solve_right_triangular(c, r, lower=False):
-    # x @ r = c, solved as r^T x^T = c^T
-    return solve_triangular(r.T, c.T, lower=not lower).T
+    return x[::-1]
 
 
 def qr_derivative_apply(
@@ -165,7 +146,7 @@ def qr_derivative_solve(q, r, e, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> Q
     if float(np.min(np.abs(np.diag(r)))) <= _scaled(cfg.singularity_tol, r):
         raise SingularR("r has a diagonal entry below the singularity threshold")
     # q^T u is skew by construction; QRTangent's test could refuse it near its edge
-    s, t = _split_skew_upper(_solve_right_triangular(q.T @ e, r))
+    s, t = _split_skew_upper(solve_triangular(r.T, (q.T @ e).T).T)
     return QRTangent._own(q @ s, t @ r, q)
 
 
@@ -189,9 +170,9 @@ def cholesky_derivative_solve(l, e, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -
         raise SingularL("l has a diagonal entry below the singularity threshold")
     if not _symmetric(e, cfg):
         raise NotSymmetric("e is not symmetric within structural tolerance")
-    inverses = _inverted_blocks(l, lower=True)  # both solves apply the same blocks
-    y = solve_triangular(l, e, lower=True, inverses=inverses)
-    m = solve_triangular(l, y.T, lower=True, inverses=inverses).T
+    inverses = _inverted_blocks(l)  # both solves apply the same blocks
+    y = solve_triangular(l, e, inverses=inverses)
+    m = solve_triangular(l, y.T, inverses=inverses).T
     # the two solves break exact symmetry at roundoff; restored exactly, m
     # needs no symmetry test, but an overflow must still refuse the step
     m = 0.5 * (m + m.T)
@@ -219,7 +200,7 @@ def ldu_derivative_solve(l, d, u, e, cfg: ToleranceConfig = DEFAULT_TOLERANCES) 
     dvec = np.diag(d)
     if _singular_d(d, cfg):
         raise SingularD("d has a diagonal entry below the singularity threshold")
-    y = solve_triangular(l, e, lower=True)
-    m = _solve_right_triangular(y, u)
+    y = solve_triangular(l, e)
+    m = solve_triangular(u.T, y.T).T
     ml, md, mu = _split_lower_diag_upper(m)
     return LDUTangent._own((l @ ml) / dvec[None, :], md, (mu / dvec[:, None]) @ u)

@@ -69,11 +69,10 @@ def matrix_from_json(text: str) -> np.ndarray:
         raise ValueError('"n" must be a positive integer')
     if not isinstance(entries, list) or len(entries) != n * n:
         raise ValueError(f'"entries" must hold n*n = {n * n} numbers')
-    try:
-        flat = np.asarray(entries, dtype=np.float64)
-    except (TypeError, ValueError):
-        raise ValueError('"entries" must all be numbers') from None
-    return _validated(flat.reshape(n, n), "matrix")
+    # JSON numbers load as int or float; bool is an int subclass
+    if any(type(x) not in (int, float) for x in entries):
+        raise ValueError('"entries" must all be numbers')
+    return _validated([entries[i:i + n] for i in range(0, n * n, n)], "matrix")
 
 
 def _format(path, fmt: str | None) -> str:

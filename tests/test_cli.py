@@ -1,6 +1,7 @@
 import json
 
 import numpy as np
+import pytest
 
 from factordiff.cli import main
 from factordiff.matrixio import load_matrix, save_matrix
@@ -89,6 +90,15 @@ class TestFactorCommand:
                      str(tmp_path / "o"), "--format", "json"])
         assert code == 1
         assert capsys.readouterr().err == 'error: "entries" must all be numbers\n'
+
+    def test_json_entry_beyond_float64_exit_1(self, tmp_path, capsys):
+        # unchecked, an integer past float64's range ended in an OverflowError traceback
+        bad = tmp_path / "big.json"
+        bad.write_text('{"n": 1, "entries": [1' + "0" * 400 + "]}")
+        code = main(["factor", "--kind", "qr", "--input", str(bad), "--output",
+                     str(tmp_path / "o"), "--format", "json"])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: matrix is not convertible")
 
     def test_missing_input_exit_1(self, tmp_path):
         code = main([
@@ -222,3 +232,26 @@ class TestVerifyCommand:
             "--report", str(tmp_path / "missing_dir" / "r.json"),
         ])
         assert code == 1
+
+
+class TestUsage:
+    """argparse's usage errors exit 1, a parse failure, since 2 is the
+    domain refusal's code; --help still exits 0."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["factor", "--kind", "bogus", "--input", "a.csv", "--output", "o"], [], ["bogus"]],
+        ids=["unknown-kind", "no-subcommand", "unknown-subcommand"],
+    )
+    def test_usage_error_exit_1(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 1
+        assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [["--help"], ["track", "--help"]])
+    def test_help_exit_0(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: factordiff")

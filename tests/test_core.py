@@ -8,6 +8,7 @@ from factordiff import (
     LDUTangent,
     LDUTriple,
     NotSymmetric,
+    PathSpec,
     QRPair,
     QRTangent,
     ShapeError,
@@ -18,6 +19,7 @@ from factordiff import (
     split_lower_diag_upper,
     split_skew_upper,
     sym_to_lower,
+    track_qr,
     validate_matrix,
 )
 from factordiff.core import _SHAPES, _Container, _impose, _require_shape
@@ -45,6 +47,28 @@ class TestValidateMatrix:
     def test_rejects(self, bad):
         with pytest.raises(ShapeError):
             validate_matrix(bad)
+
+    @pytest.mark.parametrize(
+        "bad, reason",
+        [
+            (np.array([[1 + 2j, 0.0], [0.0, 1.0]]), "complex entries"),
+            ([[10**400]], "int too large"),
+        ],
+        ids=["complex", "beyond-float64"],
+    )
+    def test_refuses_what_float64_cannot_hold(self, bad, reason):
+        # unchecked, a complex input lost its imaginary part with only a
+        # ComplexWarning, and a huge integer escaped as OverflowError
+        with pytest.raises(ShapeError, match=f"^m is not convertible to a float matrix: {reason}"):
+            validate_matrix(bad, "m")
+        with pytest.raises(ShapeError, match=f"^a is not convertible to a float matrix: {reason}"):
+            qr_factor(bad)
+
+    def test_tracker_sample_refuses_complex(self):
+        # unchecked, this path tracked the identity with max_residual 0.0
+        path = PathSpec(lambda t: np.eye(2) * (1 + 1j * t))
+        with pytest.raises(ShapeError, match=r"^a\(0\) is not convertible .*: complex entries"):
+            track_qr(path)
 
 
 class TestToleranceConfig:

@@ -38,7 +38,7 @@ from factordiff import (
     qr_factor,
     sym_to_lower,
 )
-from factordiff.frechet import _solve_right_triangular, solve_triangular
+from factordiff.frechet import solve_triangular
 from factordiff.verify import FD_STEP
 
 
@@ -169,7 +169,7 @@ class TestCholeskyDerivative:
         rng = np.random.default_rng([43, n])
         l = cholesky_factor(random_spd(rng, n)).l
         e = random_symmetric(rng, n)
-        m = solve_triangular(l, solve_triangular(l, e, lower=True).T, lower=True).T
+        m = solve_triangular(l, solve_triangular(l, e).T).T
         expected = l @ sym_to_lower(0.5 * (m + m.T))
         assert cholesky_derivative_solve(l, e).tobytes() == expected.tobytes()
 
@@ -331,42 +331,58 @@ def pivot_bait(rng, n, lower):
     return off + np.diag(rng.choice([-2.0, -1.0, 1.0, 2.0], n))
 
 
+def oriented(make, lower, order):
+    """make(lower) as drawn, or, for order "reversed", the opposite triangle
+    make(not lower) with its rows and columns reversed, which is again
+    `lower`-triangular. The reversal carries the diagonal in the other order:
+    a grading that fell now rises, and a block graded within one 32-column
+    block sits at the other end, beside the partial block when 32 does not
+    divide n."""
+    if order == "drawn":
+        return make(lower)
+    return make(not lower)[::-1, ::-1]
+
+
+ORDERS = ["drawn", "reversed"]
+
+
 class TestSolveTriangular:
     """The triangular solves inside the derivative solves against plain
-    forward/back substitution (tests/reference_kernels.py)."""
+    forward/back substitution (tests/reference_kernels.py): a lower t on the
+    left, and an upper r on the right, solved as solve_triangular(r.T, c.T).T.
+    Each triangle is taken as drawn and reversed (`oriented`)."""
 
     @pytest.mark.parametrize("n", [1, 2, 33, 128])
     @pytest.mark.parametrize("diag", ["well", "graded", "unit"])
-    @pytest.mark.parametrize("lower", [False, True])
-    def test_left_matches_substitution(self, n, diag, lower):
+    @pytest.mark.parametrize("order", ORDERS)
+    def test_left_matches_substitution(self, n, diag, order):
         rng = np.random.default_rng(131 + n)
-        t = triangular(rng, n, lower, diag)
+        t = oriented(lambda lower: triangular(rng, n, lower, diag), True, order)
         c = rng.uniform(-1.0, 1.0, (n, 3))
-        want = substitute(t, c, lower)
-        got = solve_triangular(t, c, lower=lower)
+        want = substitute(t, c, lower=True)
+        got = solve_triangular(t, c)
         assert hs_norm(got - want) <= solve_tol(t) * hs_norm(want)
 
     @pytest.mark.parametrize("n", [1, 2, 33, 128])
     @pytest.mark.parametrize("diag", ["well", "graded", "unit"])
-    @pytest.mark.parametrize("lower", [False, True])
-    def test_right_matches_substitution(self, n, diag, lower):
+    @pytest.mark.parametrize("order", ORDERS)
+    def test_right_matches_substitution(self, n, diag, order):
         rng = np.random.default_rng(137 + n)
-        r = triangular(rng, n, lower, diag)
+        r = oriented(lambda lower: triangular(rng, n, lower, diag), False, order)
         c = rng.uniform(-1.0, 1.0, (3, n))
-        want = substitute(r.T, c.T, not lower).T
-        got = _solve_right_triangular(c, r, lower=lower)
+        want = substitute(r.T, c.T, lower=True).T
+        got = solve_triangular(r.T, c.T).T
         assert hs_norm(got - want) <= solve_tol(r) * hs_norm(want)
 
     @pytest.mark.parametrize("n", [2, 5, 8])
-    @pytest.mark.parametrize("lower", [False, True])
-    def test_no_pivoting(self, n, lower):
+    @pytest.mark.parametrize("order", ORDERS)
+    def test_no_pivoting(self, n, order):
         rng = np.random.default_rng(139 + n)
-        t = pivot_bait(rng, n, lower)
+        t = oriented(lambda lower: pivot_bait(rng, n, lower), True, order)
+        r = oriented(lambda lower: pivot_bait(rng, n, lower), False, order)
         c = rng.integers(-9, 10, (n, 3)).astype(float)
-        assert np.array_equal(solve_triangular(t, c, lower=lower), substitute(t, c, lower))
-        assert np.array_equal(
-            _solve_right_triangular(c.T, t, lower=lower), substitute(t.T, c, not lower).T
-        )
+        assert np.array_equal(solve_triangular(t, c), substitute(t, c, lower=True))
+        assert np.array_equal(solve_triangular(r.T, c).T, substitute(r.T, c, lower=True).T)
 
 
 def graded_within(rng, n, lower, where):
@@ -383,54 +399,52 @@ def graded_within(rng, n, lower, where):
     return t * grade[None, :]
 
 
-def gesv(t, c, lower):
-    """The one-call solve: gesv on t, or on t with rows and columns reversed
-    when t is lower triangular."""
-    if lower:
-        return np.linalg.solve(t[::-1, ::-1], c[::-1])[::-1]
-    return np.linalg.solve(t, c)
+def gesv(t, c):
+    """The one-call solve of a lower-triangular t: gesv on t with rows and
+    columns reversed."""
+    return np.linalg.solve(t[::-1, ::-1], c[::-1])[::-1]
 
 
 class TestSolveTriangularBlocks:
-    """Triangles at and across the 32-column block edge, against
-    substitution, and bit-identical to one gesv call while they fit in one
-    block."""
+    """Triangles at and across the 32-column block edge, as drawn and
+    reversed (`oriented`), against substitution, and bit-identical to one
+    gesv call while they fit in one block."""
 
     @pytest.mark.parametrize("n", [31, 32, 33, 64, 65, 200])
     @pytest.mark.parametrize("where", ["within", "across"])
-    @pytest.mark.parametrize("lower", [False, True])
-    def test_left(self, n, where, lower):
-        rng = np.random.default_rng([n, int(lower), int(where == "within")])
-        t = graded_within(rng, n, lower, where)
+    @pytest.mark.parametrize("order", ORDERS)
+    def test_left(self, n, where, order):
+        rng = np.random.default_rng([n, int(order == "drawn"), int(where == "within")])
+        t = oriented(lambda lower: graded_within(rng, n, lower, where), True, order)
         c = rng.uniform(-1.0, 1.0, (n, 5))
-        want = substitute(t, c, lower)
-        got = solve_triangular(t, c, lower=lower)
+        want = substitute(t, c, lower=True)
+        got = solve_triangular(t, c)
         assert hs_norm(got - want) <= solve_tol(t) * hs_norm(want)
         if n <= 32:
-            assert np.array_equal(got, gesv(t, c, lower))
+            assert np.array_equal(got, gesv(t, c))
 
     @pytest.mark.parametrize("n", [31, 32, 33, 64, 65, 200])
     @pytest.mark.parametrize("where", ["within", "across"])
-    @pytest.mark.parametrize("lower", [False, True])
-    def test_right(self, n, where, lower):
-        rng = np.random.default_rng([n, int(lower), int(where == "within"), 1])
-        r = graded_within(rng, n, lower, where)
+    @pytest.mark.parametrize("order", ORDERS)
+    def test_right(self, n, where, order):
+        rng = np.random.default_rng([n, int(order == "reversed"), int(where == "within"), 1])
+        r = oriented(lambda lower: graded_within(rng, n, lower, where), False, order)
         c = rng.uniform(-1.0, 1.0, (5, n))
-        want = substitute(r.T, c.T, not lower).T
-        got = _solve_right_triangular(c, r, lower=lower)
+        want = substitute(r.T, c.T, lower=True).T
+        got = solve_triangular(r.T, c.T).T
         assert hs_norm(got - want) <= solve_tol(r) * hs_norm(want)
         if n <= 32:
-            assert np.array_equal(got, gesv(r.T, c.T, not lower).T)
+            assert np.array_equal(got, gesv(r.T, c.T).T)
 
     @pytest.mark.parametrize("n", [33, 64, 65])
-    @pytest.mark.parametrize("lower", [False, True])
-    def test_square_right_side(self, n, lower):
+    @pytest.mark.parametrize("order", ORDERS)
+    def test_square_right_side(self, n, order):
         """An n-by-n right side, the shape the derivative solves pass."""
-        rng = np.random.default_rng([n, int(lower), 2])
-        t = triangular(rng, n, lower, "well")
+        rng = np.random.default_rng([n, int(order == "drawn"), 2])
+        t = oriented(lambda lower: triangular(rng, n, lower, "well"), True, order)
         c = rng.uniform(-1.0, 1.0, (n, n))
-        want = substitute(t, c, lower)
-        assert hs_norm(solve_triangular(t, c, lower=lower) - want) <= solve_tol(t) * hs_norm(want)
+        want = substitute(t, c, lower=True)
+        assert hs_norm(solve_triangular(t, c) - want) <= solve_tol(t) * hs_norm(want)
 
 
 def test_tracking_loads_no_scipy():

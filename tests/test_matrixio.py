@@ -52,6 +52,9 @@ class TestJSON:
             '{"n": 2, "entries": [1,2,3]}',
             '{"n": 0, "entries": []}',
             '{"n": 2, "entries": [1,2,3,"x"]}',
+            '{"n": 2, "entries": [true, false, false, true]}',
+            '{"n": 2, "entries": ["1", "0", "0", "1"]}',
+            pytest.param('{"n": 1, "entries": [1' + "0" * 400 + "]}", id="beyond-float64"),
         ],
     )
     def test_malformed_rejected(self, text):
