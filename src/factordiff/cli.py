@@ -54,7 +54,7 @@ def _cmd_derivative(args) -> int:
     m = _MAPS[args.kind]
     base = m.parts(m.factor(a, DEFAULT_TOLERANCES))
     tan = m.solve(*base, e, DEFAULT_TOLERANCES)
-    residual = hs_norm(m.apply(*base, tan) - e)
+    residual = hs_norm(m.apply(*base, tan, DEFAULT_TOLERANCES) - e)
     _write_components(args.output, args.format, dict(zip(m.tangent_names, m.tangent(tan))))
     with open(f"{args.output}_residual.txt", "w", encoding="utf-8") as fh:
         fh.write(_FMT.format(residual) + "\n")

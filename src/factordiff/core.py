@@ -72,12 +72,15 @@ DEFAULT_TOLERANCES = ToleranceConfig()
 
 def validate_matrix(a, name: str = "matrix") -> np.ndarray:
     """Coerce input to a finite real square float64 array (always a fresh
-    copy); complex input or an integer beyond float64's range is refused."""
+    copy); complex, bool or text input, or an integer beyond float64's range,
+    is refused."""
     try:
-        arr = np.array(a, copy=True)  # not straight to float64: it drops imaginary parts
+        # not straight to float64, which drops imaginary parts and reads True and "1" as 1.0
+        arr = np.array(a, copy=True)
         if arr.dtype != np.float64:
-            if arr.dtype.kind == "c":
-                raise TypeError("complex entries")
+            refused = {"c": "complex", "b": "bool", "S": "text", "U": "text"}.get(arr.dtype.kind)
+            if refused:
+                raise TypeError(f"{refused} entries")
             arr = arr.astype(np.float64)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ShapeError(f"{name} is not convertible to a float matrix: {exc}") from None

@@ -31,7 +31,7 @@ class NotSymmetric(FactorizationError):
 
 
 class NotPositiveSemiDefinite(FactorizationError):
-    """Symmetric input has a negative pivot, so it is not positive semi-definite."""
+    """A pivot of symmetric input is negative, or zero over a nonzero column: not PSD."""
 
     def __init__(self, k, message=None):
         self.k = k

@@ -151,7 +151,9 @@ def cholesky_factor(a, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> CholeskyFac
         if pivot <= struct:
             # zero pivot: a PSD matrix must have a zero residual column here
             if col.size and float(np.max(np.abs(col))) > struct:
-                raise NotPositiveSemiDefinite(j + 1)
+                raise NotPositiveSemiDefinite(
+                    j + 1, f"k={j + 1}: pivot {j + 1} is zero but the column below it is not"
+                )
             l[j, j] = 0.0
         else:
             l[j, j] = np.sqrt(pivot)

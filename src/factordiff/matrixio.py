@@ -39,6 +39,8 @@ def matrix_from_csv(text: str) -> np.ndarray:
         if not line.strip():
             continue
         try:
+            if "_" in line:  # float() reads 1_0 as 10
+                raise ValueError
             rows.append([float(tok) for tok in line.split(",")])
         except ValueError:
             raise ValueError(f"line {lineno}: not a comma-separated row of numbers") from None

@@ -225,7 +225,7 @@ class _FactorMap:
     factor: Callable  # (a, cfg) -> container
     product: Callable  # (*parts) -> matrix
     solve: Callable  # (*parts, e, cfg) -> tangent
-    apply: Callable  # (*parts, tangent) -> matrix
+    apply: Callable  # (*parts, tangent, cfg) -> matrix
     tangent: Callable  # tangent -> its components, in tangent_names order
     update: Callable  # (*parts, tangent, cfg) -> parts moved along the tangent
     off_chart: Callable  # (*parts, cfg) -> whether a corrector iterate left the chart
@@ -249,7 +249,7 @@ _MAPS = {
         factor=lambda a, cfg: qr_factor(a, cfg),
         product=lambda q, r: q @ r,
         solve=lambda q, r, e, cfg: qr_derivative_solve(q, r, e, cfg),
-        apply=lambda q, r, tan: qr_derivative_apply(q, r, tan),
+        apply=lambda q, r, tan, cfg: qr_derivative_apply(q, r, tan, cfg),
         tangent=lambda tan: (tan.u, tan.v),
         update=lambda q, r, tan, cfg: (retract_orthogonal(q + tan.u, cfg), r + tan.v),
         off_chart=lambda q, r, cfg: np.any(np.diag(r) < 0.0),
@@ -264,7 +264,7 @@ _MAPS = {
         factor=lambda a, cfg: cholesky_factor(a, cfg),
         product=lambda l: l @ l.T,
         solve=lambda l, e, cfg: cholesky_derivative_solve(l, e, cfg),
-        apply=lambda l, v: cholesky_derivative_apply(l, v),
+        apply=lambda l, v, cfg: cholesky_derivative_apply(l, v),
         tangent=lambda v: (v,),
         update=lambda l, v, cfg: (l + v,),
         off_chart=lambda l, cfg: np.any(np.diag(l) < 0.0),
@@ -279,7 +279,7 @@ _MAPS = {
         factor=lambda a, cfg: ldu_factor(a, cfg),
         product=lambda l, d, u: l @ d @ u,
         solve=lambda l, d, u, e, cfg: ldu_derivative_solve(l, d, u, e, cfg),
-        apply=lambda l, d, u, tan: ldu_derivative_apply(l, d, u, tan),
+        apply=lambda l, d, u, tan, cfg: ldu_derivative_apply(l, d, u, tan),
         tangent=lambda tan: (tan.a, tan.s, tan.b),
         update=lambda l, d, u, tan, cfg: (l + tan.a, d + tan.s, u + tan.b),
         off_chart=lambda l, d, u, cfg: _singular_d(d, cfg),

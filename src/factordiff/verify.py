@@ -31,7 +31,7 @@ Coverage map (one clause family per check):
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -68,6 +68,7 @@ __all__ = [
 
 DEFAULT_EPS_LIST = (1e-1, 1e-2, 1e-3, 1e-4)
 FD_STEP = 1e-6
+_IN_P_GATE = ToleranceConfig(singularity_tol=1e-2)  # ldu_factor reads no other field
 
 
 @dataclass(frozen=True)
@@ -117,10 +118,10 @@ def _random_rank_deficient(rng, n: int) -> np.ndarray:
     return rng.uniform(-1.0, 1.0, (n, k)) @ rng.uniform(-1.0, 1.0, (k, n))
 
 
-def _random_invertible(rng, n: int, margin: float) -> np.ndarray:
+def _random_invertible(rng, n: int) -> np.ndarray:
     while True:
         a = _random_square(rng, n)
-        if float(np.linalg.svd(a, compute_uv=False)[-1]) > margin * (1.0 + hs_norm(a)):
+        if float(np.linalg.svd(a, compute_uv=False)[-1]) > 1e-2 * (1.0 + hs_norm(a)):
             return a
 
 
@@ -130,11 +131,10 @@ def _random_spd(rng, n: int) -> np.ndarray:
     return 0.5 * (s + s.T) + 1e-3 * np.eye(n)
 
 
-def _random_in_p(rng, n: int, margin: float, cfg: ToleranceConfig) -> np.ndarray:
-    gate = replace(cfg, singularity_tol=margin)
+def _random_in_p(rng, n: int) -> np.ndarray:
     while True:
         a = _random_square(rng, n)
-        if in_domain_p(a, gate):
+        if in_domain_p(a, _IN_P_GATE):
             return a
 
 
@@ -149,14 +149,19 @@ def _random_direction(rng, n: int, symmetric: bool) -> np.ndarray:
 # map's domain, the condition estimate of its factors, and the power of that
 # estimate that scales the round-trip clause.
 _DERIVATIVE_BASES = {
-    "qr": (lambda rng, n, cfg: _random_invertible(rng, n, 1e-2), lambda q, r: cond_estimate(r), 1),
-    "cholesky": (lambda rng, n, cfg: _random_spd(rng, n), lambda l: cond_estimate(l), 2),
+    "qr": (_random_invertible, lambda q, r: cond_estimate(r), 1),
+    "cholesky": (_random_spd, lambda l: cond_estimate(l), 2),
     "ldu": (
-        lambda rng, n, cfg: _random_in_p(rng, n, margin=1e-2, cfg=cfg),
-        lambda l, d, u: cond_estimate(l) * cond_estimate(d) * cond_estimate(u),
-        1,
+        _random_in_p, lambda l, d, u: cond_estimate(l) * cond_estimate(d) * cond_estimate(u), 1
     ),
 }
+
+
+def _seeded(trials, n_max, seed: int, least_n: int, headline: float):
+    """trials, then n_max (at least least_n), validated; the generator; the log."""
+    trials = _require_count(trials, "trials", least=1)
+    n_max = _require_count(n_max, "n_max", least=least_n)
+    return trials, n_max, np.random.default_rng(seed), _Violations(headline)
 
 
 def check_qr_existence_uniqueness(
@@ -169,10 +174,7 @@ def check_qr_existence_uniqueness(
     with non-negative diagonal (rank-deficient inputs included); invertible
     inputs factor uniquely, so the Householder and Gram-Schmidt kernels must
     agree entrywise."""
-    trials = _require_count(trials, "trials", least=1)
-    n_max = _require_count(n_max, "n_max", least=1)
-    rng = np.random.default_rng(seed)
-    log = _Violations(headline=1e-8)
+    trials, n_max, rng, log = _seeded(trials, n_max, seed, least_n=1, headline=1e-8)
     deficient = 0
     for _ in range(trials):
         n = int(rng.integers(1, n_max + 1))
@@ -213,10 +215,7 @@ def check_qr_properness_identity(
     """Multiplying an upper-triangular factor by an orthogonal one preserves
     the Hilbert-Schmidt norm, so a divergent r forces a divergent product:
     the mechanism that makes the product map proper."""
-    trials = _require_count(trials, "trials", least=1)
-    n_max = _require_count(n_max, "n_max", least=1)
-    rng = np.random.default_rng(seed)
-    log = _Violations(headline=1e-12)
+    trials, n_max, rng, log = _seeded(trials, n_max, seed, least_n=1, headline=1e-12)
     for _ in range(trials):
         n = int(rng.integers(1, n_max + 1))
         pair = qr_factor(_random_square(rng, n), cfg)
@@ -247,10 +246,7 @@ def check_cholesky_theorem(
     positive diagonal, uniquely (refactoring the product reproduces l), and
     the product satisfies ||l l^T||^2 >= tr(l l^T)^2 / n, the bound that
     makes the product map proper."""
-    trials = _require_count(trials, "trials", least=1)
-    n_max = _require_count(n_max, "n_max", least=1)
-    rng = np.random.default_rng(seed)
-    log = _Violations(headline=1e-8)
+    trials, n_max, rng, log = _seeded(trials, n_max, seed, least_n=1, headline=1e-8)
     for _ in range(trials):
         n = int(rng.integers(1, n_max + 1))
         a = _random_spd(rng, n)
@@ -282,10 +278,7 @@ def check_ldu_domain_characterization(
     """No-pivot elimination succeeds exactly when every leading principal
     determinant is numerically nonzero, and on success the k-th leading
     determinant equals the product of the first k diagonal entries of d."""
-    trials = _require_count(trials, "trials", least=1)
-    n_max = _require_count(n_max, "n_max", least=2)
-    rng = np.random.default_rng(seed)
-    log = _Violations(headline=1e-8)
+    trials, n_max, rng, log = _seeded(trials, n_max, seed, least_n=2, headline=1e-8)
     for _ in range(trials):
         n = int(rng.integers(1, n_max + 1))
         a = _random_square(rng, n)
@@ -371,21 +364,18 @@ def check_derivative_isomorphisms(
     """At interior base points of all three maps, the derivative solve
     inverts the derivative apply, is linear, vanishes exactly at zero, and
     matches central finite differences of the factorization itself."""
-    trials = _require_count(trials, "trials", least=1)
-    n_max = _require_count(n_max, "n_max", least=2)
-    rng = np.random.default_rng(seed)
-    log = _Violations(headline=5e-5)
+    trials, n_max, rng, log = _seeded(trials, n_max, seed, least_n=2, headline=5e-5)
     h = FD_STEP
     for _ in range(trials):
         n = int(rng.integers(2, n_max + 1))
         for kind, m in _MAPS.items():
             sample, cond_of, rt_power = _DERIVATIVE_BASES[kind]
-            a = sample(rng, n, cfg)
+            a = sample(rng, n)
             base = m.parts(m.factor(a, cfg))
             cond = cond_of(*base)
             e = _random_direction(rng, n, m.symmetric)
             tan = m.solve(*base, e, cfg)
-            rt = hs_norm(m.apply(*base, tan) - e)
+            rt = hs_norm(m.apply(*base, tan, cfg) - e)
             log.observe(rt / ((1.0 + hs_norm(e)) * cond ** rt_power), 1e-10)
             e2 = _random_direction(rng, n, m.symmetric)
             alpha, beta = rng.uniform(-2.0, 2.0, 2)

@@ -100,6 +100,14 @@ class TestFactorCommand:
         assert code == 1
         assert capsys.readouterr().err.startswith("error: matrix is not convertible")
 
+    def test_csv_underscore_cell_exit_1(self, tmp_path, capsys):
+        # unchecked, Python's float read the cell 1_0 as 10
+        bad = tmp_path / "bad.csv"
+        bad.write_text("1_0,0\n0,1\n")
+        code = main(["factor", "--kind", "qr", "--input", str(bad), "--output", str(tmp_path / "o")])
+        assert code == 1
+        assert capsys.readouterr().err == "error: line 1: not a comma-separated row of numbers\n"
+
     def test_missing_input_exit_1(self, tmp_path):
         code = main([
             "factor", "--kind", "qr",
@@ -206,6 +214,38 @@ class TestTrackCommand:
         s0 = write(tmp_path, "s0.csv", np.eye(2))
         code = main(["track", "--kind", "qr", "--input", s0, "--output", str(tmp_path / "t.csv")])
         assert code == 1
+
+    @pytest.mark.parametrize(
+        "dims, message",
+        [
+            ([2], "custom-samples family needs at least two matrix files"),
+            ([2, 3], "family samples must share one dimension"),
+        ],
+        ids=["one-sample", "mixed-dimensions"],
+    )
+    def test_bad_custom_samples_exit_1(self, tmp_path, capsys, dims, message):
+        files = [write(tmp_path, f"s{i}.csv", np.eye(n)) for i, n in enumerate(dims)]
+        code = main([
+            "track", "--kind", "qr", "--family", "custom-samples",
+            "--input", *files, "--output", str(tmp_path / "t.csv"),
+        ])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_failed_correction_exit_3(self, tmp_path, capsys):
+        # one step across a rotation by 3 radians: halved four times, the
+        # step from t=7/16 to t=0.5 still fails to correct
+        c, s = np.cos(3.0), np.sin(3.0)
+        start = write(tmp_path, "a0.csv", np.diag([1.0, 2.0]))
+        end = write(tmp_path, "a1.csv", np.array([[c, -s], [s, c]]) @ np.diag([1.0, 2.0]))
+        code = main([
+            "track", "--kind", "qr", "--steps", "1", "--input", start, end,
+            "--output", str(tmp_path / "t.csv"),
+        ])
+        assert code == 3
+        assert capsys.readouterr().err == (
+            "NoConvergence correction failed at t=0.5 after 4 step halvings\n"
+        )
 
 
 class TestVerifyCommand:

@@ -53,8 +53,11 @@ class TestValidateMatrix:
         [
             (np.array([[1 + 2j, 0.0], [0.0, 1.0]]), "complex entries"),
             ([[10**400]], "int too large"),
+            ([["1", "0"], ["0", "1"]], "text entries"),
+            (np.array([[b"1"]]), "text entries"),
+            ([[True]], "bool entries"),
         ],
-        ids=["complex", "beyond-float64"],
+        ids=["complex", "beyond-float64", "text", "bytes", "bool"],
     )
     def test_refuses_what_float64_cannot_hold(self, bad, reason):
         # unchecked, a complex input lost its imaginary part with only a
@@ -68,6 +71,12 @@ class TestValidateMatrix:
         # unchecked, this path tracked the identity with max_residual 0.0
         path = PathSpec(lambda t: np.eye(2) * (1 + 1j * t))
         with pytest.raises(ShapeError, match=r"^a\(0\) is not convertible .*: complex entries"):
+            track_qr(path)
+
+    def test_tracker_sample_refuses_bool(self):
+        # unchecked, numpy read True as 1.0 and this path tracked the identity
+        path = PathSpec(lambda t: np.eye(2, dtype=bool))
+        with pytest.raises(ShapeError, match=r"^a\(0\) is not convertible .*: bool entries"):
             track_qr(path)
 
 

@@ -146,6 +146,19 @@ class TestCholeskyFactor:
             cholesky_factor([[1.0, 2.0], [2.0, 1.0]])
         assert info.value.k == 2
 
+    @pytest.mark.parametrize(
+        "a, k, message",
+        [
+            ([[1.0, 2.0], [2.0, 1.0]], 2, "pivot 2 is negative beyond tolerance"),
+            ([[0.0, 1.0], [1.0, 1.0]], 1, "pivot 1 is zero but the column below it is not"),
+        ],
+        ids=["negative-pivot", "zero-pivot-nonzero-column"],
+    )
+    def test_refusal_names_the_failing_rule(self, a, k, message):
+        with pytest.raises(NotPositiveSemiDefinite, match=f"^k={k}: {message}$") as info:
+            cholesky_factor(a)
+        assert info.value.k == k
+
     def test_asymmetric_rejected(self):
         with pytest.raises(NotSymmetric):
             cholesky_factor([[1.0, 0.5], [0.0, 1.0]])

@@ -13,6 +13,7 @@ from conftest import (
 from reference_kernels import EPS, substitute
 
 from factordiff import (
+    DEFAULT_TOLERANCES,
     BaseMismatch,
     CholeskyFactor,
     LDUTangent,
@@ -39,6 +40,7 @@ from factordiff import (
     sym_to_lower,
 )
 from factordiff.frechet import solve_triangular
+from factordiff.newton import _MAPS
 from factordiff.verify import FD_STEP
 
 
@@ -507,6 +509,36 @@ def test_qr_apply_tests_q_under_the_solves_cfg():
     assert hs_norm(qr_derivative_apply(q, pair.r, tan, cfg) - e) <= 1e-8 * hs_norm(e)
     with pytest.raises(ShapeError, match="q is not orthogonal"):
         qr_derivative_apply(q, pair.r, tan)
+
+
+def test_map_table_qr_apply_takes_the_callers_cfg():
+    # verify and the CLI reach qr_derivative_apply through the table, so it
+    # must test q under their cfg: q scaled by 1 + 1e-9 passes only the loose one
+    cfg = ToleranceConfig(structural_tol=1e-6)
+    rng = np.random.default_rng(0)
+    pair = qr_factor(rng.standard_normal((6, 6)) + 3.0 * np.eye(6))
+    q = (1.0 + 1e-9) * pair.q
+    e = rng.standard_normal((6, 6))
+    m = _MAPS["qr"]
+    tan = m.solve(q, pair.r, e, cfg)
+    assert hs_norm(m.apply(q, pair.r, tan, cfg) - e) <= 1e-8 * hs_norm(e)
+    with pytest.raises(ShapeError, match="q is not orthogonal"):
+        m.apply(q, pair.r, tan, DEFAULT_TOLERANCES)
+
+
+@pytest.mark.parametrize(
+    "factor, solve, apply",
+    [
+        (qr_factor, qr_derivative_solve, qr_derivative_apply),
+        (ldu_factor, ldu_derivative_solve, ldu_derivative_apply),
+    ],
+    ids=["qr", "ldu"],
+)
+def test_apply_refuses_a_tangent_of_another_dimension(factor, solve, apply):
+    small, big = factor(np.eye(2) + 0.1), factor(np.eye(3) + 0.1)
+    tan = solve(*(getattr(big, c) for c in big.__slots__), np.ones((3, 3)))
+    with pytest.raises(ShapeError, match="^tangent dimension does not match the base point$"):
+        apply(*(getattr(small, c) for c in small.__slots__), tan)
 
 
 @pytest.mark.parametrize(

@@ -249,6 +249,12 @@ class TestTrackCholesky:
             track_cholesky(PathSpec(lambda t: (1.0 - 2.0 * t) * np.eye(3)))
         assert info.value.t == pytest.approx(0.5, abs=1e-9)
 
+    def test_loses_symmetry(self):
+        path = PathSpec(lambda t: np.array([[2.0, 1.0 + t], [1.0, 2.0]]), steps=2)
+        with pytest.raises(PathLeavesDomain, match=r"^a\(t\) not symmetric at t=0\.5$") as info:
+            track_cholesky(path)
+        assert info.value.t == 0.5
+
 
 class TestTrackLDU:
     def test_constant_identity(self):
