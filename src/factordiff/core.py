@@ -3,8 +3,9 @@ splitting primitives, and the factor/tangent container types.
 
 Structure is treated exactly. Triangular and diagonal sparsity patterns and
 unit diagonals are bit-level facts about the stored arrays: _SHAPES names
-each slot structure once, and the containers impose it on their inputs
-instead of trusting them, in place on the one validated copy of each.
+each structure once and cuts every triangle, the structural splits
+included. The containers impose it on their inputs instead of trusting
+them, in place on the one validated copy of each.
 Only arrays the package has just computed skip the copy and the numeric
 tests, through the private _Container._own: the kernels' factors (not
 qr_factor_mgs's), the solves' tangents and the tracker's vetted iterates.
@@ -21,6 +22,7 @@ to share across threads.
 from __future__ import annotations
 
 import functools
+import numbers
 import operator
 from dataclasses import dataclass
 
@@ -72,15 +74,21 @@ DEFAULT_TOLERANCES = ToleranceConfig()
 
 def validate_matrix(a, name: str = "matrix") -> np.ndarray:
     """Coerce input to a finite real square float64 array (always a fresh
-    copy); complex, bool or text input, or an integer beyond float64's range,
-    is refused."""
+    copy) of real numbers: a float or integer array, or an object array of
+    reals none of which is a bool. Complex, bool, text, time and other input,
+    or an integer beyond float64's range, is refused."""
     try:
         # not straight to float64, which drops imaginary parts and reads True and "1" as 1.0
         arr = np.array(a, copy=True)
         if arr.dtype != np.float64:
-            refused = {"c": "complex", "b": "bool", "S": "text", "U": "text"}.get(arr.dtype.kind)
-            if refused:
-                raise TypeError(f"{refused} entries")
+            kind = arr.dtype.kind
+            if kind == "O" and all(
+                isinstance(x, numbers.Real) and not isinstance(x, bool) for x in arr.flat
+            ):
+                kind = "f"  # Python ints beyond int64 land here, and convert or overflow
+            if kind not in ("f", "i", "u"):
+                words = dict(c="complex", b="bool", S="text", U="text", m="time", M="time")
+                raise TypeError(f"{words.get(kind, 'non-numeric')} entries")
             arr = arr.astype(np.float64)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ShapeError(f"{name} is not convertible to a float matrix: {exc}") from None
@@ -169,9 +177,9 @@ def split_skew_upper(m):
 
 
 def _split_skew_upper(m: np.ndarray) -> tuple:
-    low = np.tril(m, -1)
+    low = _impose(m.copy(), "strictly lower triangular")
     s = low - low.T
-    return s, np.triu(m - s)
+    return s, _impose(m - s, "upper triangular")
 
 
 def sym_to_lower(m, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> np.ndarray:
@@ -190,7 +198,7 @@ def sym_to_lower(m, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> np.ndarray:
 
 def _halve_onto_lower(m: np.ndarray) -> np.ndarray:
     # sym_to_lower's arithmetic, for an m already known to be symmetric
-    return np.tril(m, -1) + np.diag(0.5 * np.diag(m))
+    return _impose(m.copy(), "strictly lower triangular") + _impose(0.5 * m, "diagonal")
 
 
 def split_lower_diag_upper(m):
@@ -359,8 +367,8 @@ class LDUTriple(_Container):
             raise SingularD("d has a diagonal entry at or below the singularity threshold")
 
     def product(self) -> np.ndarray:
-        """Recompose l @ d @ u."""
-        return self.l @ self.d @ self.u
+        """Recompose l @ d @ u, scaling by the diagonal of d."""
+        return (self.l * np.diagonal(self.d)) @ self.u
 
 
 class QRTangent(_Container):

@@ -196,8 +196,8 @@ def ldu_factor(a, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> LDUTriple:
             work[k1:, k1:] -= work[k1:, k0:k1] @ work[k0:k1, k1:]
     # LDUTriple._own imposes each factor's part of work in place, so each
     # gets its own array; every pivot cleared thresh >= d's singularity floor
-    l, d = work.copy(), np.diag(np.diag(work))
-    work /= np.diag(d)[:, None]
+    l, d = work.copy(), work.copy()
+    work /= np.diagonal(d)[:, None]
     return LDUTriple._own(l, d, work)
 
 

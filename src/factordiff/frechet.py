@@ -13,22 +13,21 @@ solve routines invert it by reducing to a structural split:
 No whole factor is ever inverted; every r^-1, l^-1, u^-1, d^-1 is a
 triangular or diagonal solve. Every triangular system is lower triangular:
 l x = c, or t^T x^T = c^T for x t = c with t = r, l^T or u. `solve_triangular`
-solves its reversal, an upper system, by numpy's LAPACK gesv, so numpy's
-OpenBLAS is the only BLAS the package loads. On an upper triangle with a
-nonzero diagonal, gesv's partial pivoting finds only zeros below each pivot:
-getrf swaps no rows, its multipliers are exactly zero and its U is the
-triangle itself, so getrs reduces to back substitution. Each solve routine
-checks the diagonal against the singularity threshold before it solves.
-
-A triangle of at most 32 columns takes one gesv call. A larger one is solved
-by block substitution: each diagonal block of core._BLOCK columns is inverted
-once per triangle per derivative solve (Cholesky's two solves by l share
-them; core says why that is safe). One matmul applies it and one matmul per
-block subtracts the part solved. gesv on the whole triangle runs getrf over
-its zero half; at n = 128 that took ~0.6 ms per solve against ~0.3 ms
-blocked. gesv on each diagonal block would still pay getrs: ~90 us for a
-32-by-32 block with 128 right-hand sides, against ~35 us to invert the block
-and ~7 us for the matmul (2-vCPU host, default OpenBLAS threads).
+solves its reversal, an upper system, by block back substitution at every
+size. Each diagonal block of core._BLOCK columns (the whole triangle up to
+32) is inverted once per triangle per derivative solve, by numpy's LAPACK
+gesv against the identity, so numpy's OpenBLAS is the only BLAS the package
+loads; Cholesky's two solves by l share the inverses. On an upper triangle
+with a nonzero diagonal, gesv's partial pivoting finds only zeros below each
+pivot: getrf swaps no rows, its multipliers are exactly zero and its U is the
+block itself, so the inverse is exactly triangular (core._BLOCK says why
+applying it is safe). One matmul applies each inverse after one matmul
+subtracts the part solved. gesv on the whole triangle would run getrf over
+its zero half: ~0.6 ms per solve at n = 128 against ~0.3 ms blocked. gesv on
+each block would still pay getrs: ~90 us for a 32-by-32 block with 128
+right-hand sides, against ~35 us to invert it and ~7 us for the matmul
+(2-vCPU host, default OpenBLAS threads). Each solve routine checks the
+diagonal against the singularity threshold before it solves.
 """
 
 from __future__ import annotations
@@ -90,9 +89,7 @@ def _base(container, *parts, **rest) -> tuple:
 
 def _inverted_blocks(t):
     """(start, inverse) of each 32-row diagonal block of t[::-1, ::-1] that
-    solve_triangular(t, c) applies, bottom first; None up to 32."""
-    if len(t) <= _BLOCK:
-        return None
+    solve_triangular(t, c) applies, bottom first."""
     t = t[::-1, ::-1]
     starts = range((len(t) - 1) // _BLOCK * _BLOCK, -1, -_BLOCK)
     return [(s, np.linalg.inv(t[s:s + _BLOCK, s:s + _BLOCK])) for s in starts]
@@ -100,17 +97,17 @@ def _inverted_blocks(t):
 
 def solve_triangular(t, c, inverses=None):
     """x with t @ x = c for lower-triangular t with a nonzero diagonal,
-    solved as t[::-1, ::-1] @ x[::-1] = c[::-1], which is upper triangular:
-    by one gesv call up to 32 columns, beyond by back substitution over
-    32-row blocks, each block's inverse applied by one matmul after one
-    matmul subtracts the rows already solved. inverses, from
-    _inverted_blocks(t), saves inverting the blocks again.
+    solved as t[::-1, ::-1] @ x[::-1] = c[::-1], which is upper triangular,
+    by back substitution over 32-row blocks (one block up to 32 columns):
+    each block's inverse applied by one matmul after one matmul subtracts
+    the rows already solved. inverses, from _inverted_blocks(t), saves
+    inverting the blocks again.
     """
     if inverses is None:
         inverses = _inverted_blocks(t)
     t, c = t[::-1, ::-1], c[::-1]
-    x = np.linalg.solve(t, c) if inverses is None else np.empty(c.shape)
-    for s, inverse in inverses or ():
+    x = np.empty(c.shape)
+    for s, inverse in inverses:
         e = s + _BLOCK
         x[s:e] = inverse @ (c[s:e] - t[s:e, e:] @ x[e:])
     return x[::-1]
@@ -187,7 +184,8 @@ def ldu_derivative_apply(l, d, u, tan: LDUTangent) -> np.ndarray:
     l, d, u = _base(LDUTriple, l, d, u)
     if tan.n != len(l):
         raise ShapeError("tangent dimension does not match the base point")
-    return tan.a @ d @ u + l @ tan.s @ u + l @ d @ tan.b
+    dvec = np.diagonal(d)
+    return (tan.a * dvec) @ u + (l * np.diagonal(tan.s)) @ u + (l * dvec) @ tan.b
 
 
 def ldu_derivative_solve(l, d, u, e, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> LDUTangent:

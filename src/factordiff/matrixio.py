@@ -39,7 +39,8 @@ def matrix_from_csv(text: str) -> np.ndarray:
         if not line.strip():
             continue
         try:
-            if "_" in line:  # float() reads 1_0 as 10
+            # float() reads 1_0 as 10, and Arabic-Indic or full-width digits
+            if "_" in line or not line.isascii():
                 raise ValueError
             rows.append([float(tok) for tok in line.split(",")])
         except ValueError:

@@ -277,7 +277,7 @@ _MAPS = {
         container=LDUTriple,
         symmetric=False,
         factor=lambda a, cfg: ldu_factor(a, cfg),
-        product=lambda l, d, u: l @ d @ u,
+        product=lambda l, d, u: (l * np.diagonal(d)) @ u,
         solve=lambda l, d, u, e, cfg: ldu_derivative_solve(l, d, u, e, cfg),
         apply=lambda l, d, u, tan, cfg: ldu_derivative_apply(l, d, u, tan),
         tangent=lambda tan: (tan.a, tan.s, tan.b),

@@ -108,6 +108,14 @@ class TestFactorCommand:
         assert code == 1
         assert capsys.readouterr().err == "error: line 1: not a comma-separated row of numbers\n"
 
+    def test_csv_non_ascii_digit_exit_1(self, tmp_path, capsys):
+        # unchecked, Python's float read the Arabic-Indic and full-width ones as 1
+        bad = tmp_path / "bad.csv"
+        bad.write_text("\u0661,0\n0,\uff11\n", encoding="utf-8")
+        code = main(["factor", "--kind", "qr", "--input", str(bad), "--output", str(tmp_path / "o")])
+        assert code == 1
+        assert capsys.readouterr().err == "error: line 1: not a comma-separated row of numbers\n"
+
     def test_missing_input_exit_1(self, tmp_path):
         code = main([
             "factor", "--kind", "qr",

@@ -56,8 +56,15 @@ class TestValidateMatrix:
             ([["1", "0"], ["0", "1"]], "text entries"),
             (np.array([[b"1"]]), "text entries"),
             ([[True]], "bool entries"),
+            (np.array([[np.timedelta64(3, "s")]]), "time entries"),
+            (np.array([["2020-01-02"]], dtype="M8[D]"), "time entries"),
+            (np.array([[(1.0,)]], dtype=[("x", "f8")]), "non-numeric entries"),
+            (np.array([["1", "0"], ["0", "1"]], dtype=object), "non-numeric entries"),
         ],
-        ids=["complex", "beyond-float64", "text", "bytes", "bool"],
+        ids=[
+            "complex", "beyond-float64", "text", "bytes", "bool",
+            "timedelta", "datetime", "structured", "object-text",
+        ],
     )
     def test_refuses_what_float64_cannot_hold(self, bad, reason):
         # unchecked, a complex input lost its imaginary part with only a
@@ -66,6 +73,11 @@ class TestValidateMatrix:
             validate_matrix(bad, "m")
         with pytest.raises(ShapeError, match=f"^a is not convertible to a float matrix: {reason}"):
             qr_factor(bad)
+
+    def test_object_array_of_reals_converts(self):
+        # numbers held as objects, a Python int beyond int64 among them
+        a = np.array([[1.0, 2**70], [3, 0.5]], dtype=object)
+        assert np.array_equal(validate_matrix(a), [[1.0, 2.0**70], [3.0, 0.5]])
 
     def test_tracker_sample_refuses_complex(self):
         # unchecked, this path tracked the identity with max_residual 0.0

@@ -402,9 +402,10 @@ def graded_within(rng, n, lower, where):
 
 
 def gesv(t, c):
-    """The one-call solve of a lower-triangular t: gesv on t with rows and
-    columns reversed."""
-    return np.linalg.solve(t[::-1, ::-1], c[::-1])[::-1]
+    """The one-block solve of a lower-triangular t: the inverse of t with rows
+    and columns reversed, by gesv against the identity, applied by one matmul
+    to a contiguous copy of c reversed."""
+    return (np.linalg.inv(t[::-1, ::-1]) @ np.ascontiguousarray(c[::-1]))[::-1]
 
 
 class TestSolveTriangularBlocks:

@@ -31,7 +31,10 @@ class TestCSV:
 
     @pytest.mark.parametrize(
         "text",
-        ["", "1,2\n3\n", "1,x\n3,4\n", "1,2,3\n4,5,6\n", "nan,0\n0,1\n", "1_0,0\n0,1\n"],
+        [
+            "", "1,2\n3\n", "1,x\n3,4\n", "1,2,3\n4,5,6\n", "nan,0\n0,1\n", "1_0,0\n0,1\n",
+            "\u0661,0\n0,1\n", "1,0\n0,\uff11\n",
+        ],
     )
     def test_malformed_rejected(self, text):
         with pytest.raises(ValueError):
