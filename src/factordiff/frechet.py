@@ -107,7 +107,11 @@ def solve_triangular(t, c, inverses=None):
         inverses = _inverted_blocks(t)
     t, c = t[::-1, ::-1], c[::-1]
     x = np.empty(c.shape)
-    for s, inverse in inverses:
+    # the bottom block has no rows solved below it; a contiguous copy of its
+    # part of c keeps the bits the subtraction of nothing gave
+    (s, inverse), *above = inverses
+    x[s:] = inverse @ np.ascontiguousarray(c[s:])
+    for s, inverse in above:
         e = s + _BLOCK
         x[s:e] = inverse @ (c[s:e] - t[s:e, e:] @ x[e:])
     return x[::-1]

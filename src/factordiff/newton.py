@@ -18,7 +18,7 @@ and so do the CLI and the derivative check in verify.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, List, Tuple
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
@@ -39,6 +39,7 @@ from .core import (
 from .errors import (
     ConvergedOutsideChart,
     NoConvergence,
+    NotInDomainP,
     NotSymmetric,
     PathLeavesDomain,
     ShapeError,
@@ -179,12 +180,23 @@ def _certified_above(h: np.ndarray, floor: float) -> bool:
     return bool(np.all(np.isfinite(np.diagonal(l))))
 
 
-# Both domain tests try a Cholesky certificate before the exact svd/eigvalsh
-# test. The certificate's floor lies _roundoff(n) (1 + ||a||) above the
+# Each domain test tries a cheap certificate before its exact test. QR and
+# Cholesky samples get a shifted Cholesky certificate before the exact
+# svd/eigvalsh test. Its floor lies _roundoff(n) (1 + ||a||) above the
 # threshold, more than the error of the svd or eigvalsh, so a certified sample
 # also passes the exact test: the verdict and its t are always the exact
 # test's. At n = 128 the QR certificate takes ~0.5 ms against ~2.3 ms for the
 # svd, and the Cholesky one ~0.5 ms against ~0.8 ms for eigvalsh.
+#
+# An LDU sample is tested after its correction instead. The corrected d
+# approximate its elimination pivots, so every |d_k| above _LDU_MARGIN times
+# ldu_factor's pivot threshold certifies it. Only a d nearer the threshold,
+# or a step that failed, pays for the exact test, an elimination by
+# ldu_factor (~2 ms at n = 128), and its verdict is final. The seeding
+# ldu_factor decides t = 0. Unlike the Cholesky certificate this margin is
+# measured, not proved: a certified d within _LDU_MARGIN - 1 thresholds of
+# the pivots has every pivot above the threshold, and the verdict battery in
+# tests/test_gate_verdicts.py holds the corrected d that close.
 
 
 def _qr_domain(a: np.ndarray, t: float, cfg: ToleranceConfig) -> None:
@@ -207,9 +219,21 @@ def _cholesky_domain(a: np.ndarray, t: float, cfg: ToleranceConfig) -> None:
         raise PathLeavesDomain(t, f"a(t) not positive definite at t={t:.6g}")
 
 
+_LDU_MARGIN = 2.0
+
+
+def _zero_pivot(t: float) -> PathLeavesDomain:
+    return PathLeavesDomain(t, f"a(t) has a numerically zero leading pivot at t={t:.6g}")
+
+
 def _ldu_domain(a: np.ndarray, t: float, cfg: ToleranceConfig) -> None:
     if not in_domain_p(a, cfg):
-        raise PathLeavesDomain(t, f"a(t) has a numerically zero leading pivot at t={t:.6g}")
+        raise _zero_pivot(t)
+
+
+def _ldu_certified(a: np.ndarray, l, d, u, cfg: ToleranceConfig) -> bool:
+    floor = _LDU_MARGIN * _scaled(cfg.singularity_tol, a)
+    return float(np.min(np.abs(np.diagonal(d)))) > floor
 
 
 @dataclass(frozen=True)
@@ -232,6 +256,9 @@ class _FactorMap:
     chart_error: str
     domain: Callable  # (a, t, cfg) -> None, or raises PathLeavesDomain
     correct: Callable  # (a, guess, cfg) -> (container, iterations)
+    # (a, *parts, cfg) -> whether the parts corrected at a prove a in the
+    # domain. None: domain tests each sample before its correction
+    certificate: Optional[Callable] = None
 
     def parts(self, fac) -> tuple:
         return tuple(getattr(fac, c) for c in self.container.__slots__)
@@ -286,6 +313,7 @@ _MAPS = {
         chart_error="diagonal factor lost invertibility",
         domain=_ldu_domain,
         correct=lambda a, guess, cfg: ldu_newton_correct(a, guess, cfg),
+        certificate=_ldu_certified,
     ),
 }
 
@@ -382,13 +410,16 @@ def _sample(m, path: PathSpec, t: float, cfg: ToleranceConfig, shape=None) -> tu
     a = validate_matrix(path.evaluate(t), f"a({t:.6g})")
     if shape is not None and a.shape != shape:
         raise ShapeError(f"a({t:.6g}) has shape {a.shape}, but a(0) has shape {shape}")
-    m.domain(a, t, cfg)
+    if m.certificate is None:
+        m.domain(a, t, cfg)
     return t, a
 
 
 def _advance(m, path, cfg, current, prev, nxt, depth):
     """The factor at sample nxt = (t, a) from current at prev, and its worst
-    iteration count. A halving samples only its midpoint."""
+    iteration count. A halving samples only its midpoint. Under a
+    certificate, a corrected factor it does not certify, and a failed step,
+    get the exact domain test of nxt."""
     (t_prev, a_prev), (t_next, a_next) = prev, nxt
     try:
         # tan stays bound through the correction, as the corrector's does
@@ -396,8 +427,10 @@ def _advance(m, path, cfg, current, prev, nxt, depth):
         # _step's chart test ran the container's numeric test or a stricter
         # one, and retract_orthogonal's last Gram test is QRPair's, bit for bit
         guess = m.container._own(*guess)
-        return m.correct(a_next, guess, cfg)
+        corrected, spent = m.correct(a_next, guess, cfg)
     except _STEP_FAILURES:
+        if m.certificate is not None:
+            m.domain(a_next, t_next, cfg)
         if depth <= 0:
             raise NoConvergence(
                 f"correction failed at t={t_next:.6g} after {_MAX_HALVINGS} step halvings"
@@ -406,12 +439,18 @@ def _advance(m, path, cfg, current, prev, nxt, depth):
         current, it1 = _advance(m, path, cfg, current, prev, mid, depth - 1)
         corrected, it2 = _advance(m, path, cfg, current, mid, nxt, depth - 1)
         return corrected, max(it1, it2)
+    if m.certificate is not None and not m.certificate(a_next, *m.parts(corrected), cfg):
+        m.domain(a_next, t_next, cfg)
+    return corrected, spent
 
 
 def _track(m: _FactorMap, path: PathSpec, cfg: ToleranceConfig) -> TrackReport:
     ts = [i / path.steps for i in range(path.steps + 1)]
     prev = _sample(m, path, ts[0], cfg)
-    current = m.factor(prev[1], cfg)
+    try:
+        current = m.factor(prev[1], cfg)
+    except NotInDomainP:  # only the LDU kernel raises it
+        raise _zero_pivot(ts[0]) from None
     factors = [current]
     iters = [0]
     residuals = [hs_norm(prev[1] - current.product())]

@@ -61,3 +61,14 @@ def random_in_p(rng, n, margin=1e-2):
         a = random_square(rng, n)
         if in_domain_p(a, gate):
             return a
+
+
+def recording(family):
+    """family as an evaluate that appends each t it is called with to seen."""
+    seen = []
+
+    def evaluate(t):
+        seen.append(t)
+        return family(t)
+
+    return evaluate, seen

@@ -13,8 +13,11 @@ prints, one per line:
   default_rng(n); then 64-step track_ldu on [[eps^t, 1], [1, 0]] for
   eps in {1e-2, 1e-6, 1e-8}; then the halving paths of track_qr: R(2t) S
   and R(3t) S at one step, R the rotation and S = diag(1, 2), and the
-  4-step path that jumps from S to R(3) S after t = 0.5. A NoConvergence
-  is hashed by its repr;
+  4-step path that jumps from S to R(3) S after t = 0.5; then three
+  track_ldu paths that leave the domain: [[0.5 - t, 1], [1, 0]] at the
+  grid sample t = 0.5 (4 steps), a 3x3 one-step path whose step fails and
+  halves onto a zero first pivot at t = 0.5, and [[t, 1], [1, 0]] at t = 0.
+  A NoConvergence or PathLeavesDomain is hashed by its repr;
 - cli: exit code, stdout and stderr of 15 CLI runs at n=6 (factor,
   derivative and track per map, plus factor of and track from a zero
   matrix per map), then the name and bytes of every file they leave.
@@ -36,7 +39,14 @@ import numpy as np
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 sys.path.insert(0, SRC)
 
-from factordiff import NoConvergence, PathSpec, track_cholesky, track_ldu, track_qr  # noqa: E402
+from factordiff import (  # noqa: E402
+    NoConvergence,
+    PathLeavesDomain,
+    PathSpec,
+    track_cholesky,
+    track_ldu,
+    track_qr,
+)
 from factordiff.matrixio import save_matrix  # noqa: E402
 
 MAPS = ("qr", "cholesky", "ldu")
@@ -88,10 +98,19 @@ def track_digest() -> str:
         (track_qr, PathSpec(lambda t: _rotation(3.0 * t) @ s, steps=1)),
         (track_qr, PathSpec(lambda t: s if t <= 0.5 else _rotation(3.0) @ s, steps=4)),
     ]
+    # the step from I to `end` predicts a zero third pivot, although end's
+    # pivots are 1, 1, 1, so it halves onto `mid`, whose first pivot is zero
+    mid = np.array([[0.0, 0.0, 0.0], [0.0, 1.0, -1.0], [0.0, 0.0, 1.0]])
+    end = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, -1.0], [0.0, 1.0, 0.0]])
+    paths += [
+        (track_ldu, PathSpec(lambda t: np.array([[0.5 - t, 1.0], [1.0, 0.0]]), steps=4)),
+        (track_ldu, PathSpec(lambda t: {0.0: np.eye(3), 0.5: mid, 1.0: end}[t], steps=1)),
+        (track_ldu, PathSpec(lambda t: np.array([[t, 1.0], [1.0, 0.0]]), steps=4)),
+    ]
     for track, path in paths:
         try:
             _hash_report(h, track(path))
-        except NoConvergence as exc:
+        except (NoConvergence, PathLeavesDomain) as exc:
             h.update(repr(exc).encode())
     return h.hexdigest()
 

@@ -1,5 +1,5 @@
-"""Verdicts of the retraction gate and the QR and Cholesky domain tests at
-their thresholds.
+"""Verdicts of the retraction gate and the QR, Cholesky and LDU domain tests
+at their thresholds.
 
 Each input sits a relative 1e-9 (retraction) or 1e-6 (domain tests) inside
 or outside its threshold, at a distance the exact svd/eigvalsh tests resolve
@@ -7,23 +7,30 @@ many times over, so every expected verdict follows from the construction.
 Cheaper tests that run first (a Frobenius gate, a Cholesky certificate) may
 only decide inputs whose verdict is already certain; at these edges the
 outcome, the exception type, its message and its t must stay those of the
-exact tests.
+exact tests. The LDU test certifies a tracked sample by its corrected d, so
+its battery runs whole paths through track_ldu.
 """
 
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from conftest import recording
 
 from factordiff import (
     DEFAULT_TOLERANCES,
     PathLeavesDomain,
+    PathSpec,
     TooFarFromGroup,
     hs_norm,
+    in_domain_p,
+    ldu_factor,
     orthogonality_defect,
     retract_orthogonal,
+    track_ldu,
 )
-from factordiff.newton import _cholesky_domain, _qr_domain
+from factordiff import newton
+from factordiff.newton import _LDU_MARGIN, _cholesky_domain, _qr_domain
 
 T = 0.375
 # a threshold of 1e-6 (1 + ||a||) puts a relative 1e-6 step about 1e-12 ||a||
@@ -175,3 +182,94 @@ class TestDomainThreshold:
         a = 1e200 * sample(np.random.default_rng(23 + n), n, 1e6, DEFAULT_TOLERANCES)
         with np.errstate(over="ignore", invalid="ignore"):
             assert verdict(domain, a, DEFAULT_TOLERANCES) == REFUSED[kind]
+
+
+def unit_triangle(rng, n, lower):
+    """Unit triangle with off-diagonal entries below 1/n: every row sum of
+    its strict part is below 1, so its inverse stays bounded at any n."""
+    strict = rng.uniform(-1.0, 1.0, (n, n)) / n
+    return (np.tril(strict, -1) if lower else np.triu(strict, 1)) + np.eye(n)
+
+
+def ldu_family(rng, n, k, rel, cfg):
+    """(a0, planted, a1) = (l0 d0 u0, l0 d* u1, l1 d0 u1): d* is d0 with
+    pivot k at rel * cfg.singularity_tol * (1 + ||planted||_F).
+
+    l1 = l0 (I + e_j e_i^T) and u1 = (I + beta e_i e_j^T) u0 for two indices
+    i < j other than k, with beta = -d0_j / d0_i. A step between two of the
+    three shares l or u, so its prediction is exact. The direct step from a0
+    to a1 predicts pivot j at d0_j + beta d0_i = 0, leaves the chart and
+    halves, although every pivot of a1 is one of d0.
+    """
+    i, j = [m for m in range(n) if m != k][:2]
+    d0 = rng.uniform(1.0, 2.0, n)
+    l0, u0 = unit_triangle(rng, n, True), unit_triangle(rng, n, False)
+    l1, u1 = l0.copy(), u0.copy()
+    l1[:, i] += l0[:, j]
+    u1[i, :] -= d0[j] / d0[i] * u0[j, :]
+    planted = d0.copy()
+    for _ in range(3):  # the threshold moves with ||a||, by far less than rel's step
+        planted[k] = rel * cfg.singularity_tol * (1.0 + hs_norm((l0 * planted) @ u1))
+    return (l0 * d0) @ u0, (l0 * planted) @ u1, (l1 * d0) @ u1
+
+
+LDU_RELS = [0.0, 0.5, 1.0 - 1e-6, 1.0 + 1e-6, 2.0, 1e6]
+# placement: (steps, t of the planted sample, whether a0 comes before it)
+PLACEMENTS = {"grid": (2, 0.5, True), "midpoint": (1, 0.5, True), "start": (1, 0.0, False)}
+
+
+class TestLDUVerdict:
+    """track_ldu on paths through one sample whose pivot k (1, ceil(n/2) or
+    n) sits at rel times ldu_factor's pivot threshold, as a grid sample, as
+    the midpoint of a halved step, or at t=0. The outcome must be
+    in_domain_p's verdict on that sample: a report, or PathLeavesDomain at
+    its t. The edges rel = 1 +- 1e-6 run under WIDE, so that they stand far
+    above the roundoff of the elimination."""
+
+    @pytest.mark.parametrize("where", list(PLACEMENTS))
+    @pytest.mark.parametrize("n", [3, 40, 128])
+    @pytest.mark.parametrize("pivot", ["first", "middle", "last"])
+    @pytest.mark.parametrize("rel", LDU_RELS)
+    def test_verdict(self, monkeypatch, where, n, pivot, rel):
+        cfg = WIDE if abs(rel - 1.0) < 1e-3 else DEFAULT_TOLERANCES
+        k = {"first": 0, "middle": (n + 1) // 2 - 1, "last": n - 1}[pivot]
+        rng = np.random.default_rng([n, k, LDU_RELS.index(rel), list(PLACEMENTS).index(where)])
+        a0, planted, a1 = ldu_family(rng, n, k, rel, cfg)
+        steps, t, after_a0 = PLACEMENTS[where]
+        samples = {0.0: a0, t: planted, 1.0: a1} if after_a0 else {t: planted, 1.0: a1}
+        evaluate, seen = recording(lambda s: samples[s])
+
+        inside = in_domain_p(planted, cfg)
+        assert inside == (rel > 1.0)
+
+        corrected = []  # d of every correction at the planted sample
+        correct = newton.ldu_newton_correct
+
+        def recorded(a, guess, cfg, max_iters=20):
+            fac, it = correct(a, guess, cfg, max_iters)
+            if np.array_equal(a, planted):
+                corrected.append(np.diagonal(fac.d))
+            return fac, it
+
+        monkeypatch.setattr(newton, "ldu_newton_correct", recorded)
+        try:
+            report = track_ldu(PathSpec(evaluate, steps=steps), cfg)
+        except PathLeavesDomain as exc:
+            outcome = (str(exc), exc.t)
+        else:
+            outcome = None
+            assert report.ts == [i / steps for i in range(steps + 1)]
+        refused = (f"a(t) has a numerically zero leading pivot at t={t:.6g}", t)
+        assert outcome == (None if inside else refused)
+        if where == "midpoint":
+            assert seen[:3] == [0.0, 1.0, 0.5]
+
+        # how far a corrected d may sit from the elimination's pivots: below
+        # (_LDU_MARGIN - 1) thresholds, a certified d (every |d_k| above
+        # _LDU_MARGIN thresholds) has every pivot above the threshold
+        if corrected:
+            thresh = cfg.singularity_tol * (1.0 + hs_norm(planted))
+            exact = replace(cfg, singularity_tol=float(np.finfo(np.float64).tiny))
+            pivots = np.diagonal(ldu_factor(planted, exact).d)
+            gap = max(float(np.max(np.abs(d - pivots))) for d in corrected) / thresh
+            assert gap < _LDU_MARGIN - 1.0

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from conftest import random_square
+from conftest import random_square, recording
 
 from factordiff import (
     CholeskyFactor,
@@ -288,17 +288,6 @@ def _rotation(theta):
     return np.array([[c, -s], [s, c]])
 
 
-def _recording(family):
-    """family as an evaluate that appends each t it is called with to seen."""
-    seen = []
-
-    def evaluate(t):
-        seen.append(t)
-        return family(t)
-
-    return evaluate, seen
-
-
 class TestStepHalving:
     """Paths whose first tracking step fails, so the tracker halves it."""
 
@@ -342,7 +331,7 @@ class TestStepHalving:
     def test_halving_samples_each_t_once(self, turn):
         # the one step is taken in quarters; re-sampling the right end of
         # each halved interval made 8 evaluations for these 5 t
-        evaluate, seen = _recording(lambda t: _rotation(turn * t) @ self.scale)
+        evaluate, seen = recording(lambda t: _rotation(turn * t) @ self.scale)
         report = track_qr(PathSpec(evaluate, steps=1))
         assert seen == [0.0, 1.0, 0.5, 0.25, 0.75]
         assert report.ts == [0.0, 1.0]
@@ -354,7 +343,7 @@ def test_ldu_halvings_sample_each_t_once():
     # (until tolerances follow one scale model); re-sampling the right end of
     # each halved interval made 55 evaluations for these 51 t
     eps = 1e-8
-    evaluate, seen = _recording(lambda t: np.array([[eps**t, 1.0], [1.0, 0.0]]))
+    evaluate, seen = recording(lambda t: np.array([[eps**t, 1.0], [1.0, 0.0]]))
     with pytest.raises(NoConvergence, match="correction failed at t=0.71875 after 4 step halvings"):
         track_ldu(PathSpec(evaluate, steps=64))
     assert len(seen) == len(set(seen)) == 51

@@ -9,6 +9,7 @@ from collections import Counter
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import factordiff
 from factordiff.cli import main
@@ -63,6 +64,13 @@ def test_traced_counts(tmp_path):
         factordiff.track_qr(_linear(a0, a1))
         factordiff.track_cholesky(_linear(s0, s1))
         factordiff.track_ldu(_linear(a0, a1))
+        # pivot 1 reaches zero at t=0.5: the predicted step there (one more
+        # LDU solve) leaves the chart, and only the exact test, in_domain_p,
+        # classifies the sample
+        edge = factordiff.PathSpec(lambda t: np.array([[0.5 - t, 1.0], [1.0, 0.0]]), steps=2)
+        with pytest.raises(factordiff.PathLeavesDomain) as left:
+            factordiff.track_ldu(edge)
+        assert left.value.t == 0.5
         assert main(["factor", "--kind", "ldu", "--input", start,
                      "--output", str(tmp_path / "f")]) == 0
         assert main(["track", "--kind", "qr", "--input", start, end, "--steps", "2",
@@ -74,11 +82,11 @@ def test_traced_counts(tmp_path):
     assert {name: counts[name] for name in TRACED} == {
         "factor.qr_factor": 2,
         "factor.cholesky_factor": 1,
-        "factor.ldu_factor": 7,
-        "factor.in_domain_p": 5,
+        "factor.ldu_factor": 4,
+        "factor.in_domain_p": 1,
         "frechet.qr_derivative_solve": 24,
         "frechet.cholesky_derivative_solve": 12,
-        "frechet.ldu_derivative_solve": 12,
+        "frechet.ldu_derivative_solve": 13,
         "newton.qr_newton_correct": 6,
         "newton.cholesky_newton_correct": 4,
         "newton.ldu_newton_correct": 4,
