@@ -50,6 +50,8 @@ from .errors import (
 )
 from .factor import cholesky_factor, in_domain_p, ldu_factor, qr_factor
 from .frechet import (
+    _inverted_blocks,
+    _substitute,
     cholesky_derivative_apply,
     cholesky_derivative_solve,
     ldu_derivative_apply,
@@ -188,15 +190,14 @@ def _certified_above(h: np.ndarray, floor: float) -> bool:
 # test's. At n = 128 the QR certificate takes ~0.5 ms against ~2.3 ms for the
 # svd, and the Cholesky one ~0.5 ms against ~0.8 ms for eigvalsh.
 #
-# An LDU sample is tested after its correction instead. The corrected d
-# approximate its elimination pivots, so every |d_k| above _LDU_MARGIN times
-# ldu_factor's pivot threshold certifies it. Only a d nearer the threshold,
-# or a step that failed, pays for the exact test, an elimination by
-# ldu_factor (~2 ms at n = 128), and its verdict is final. The seeding
-# ldu_factor decides t = 0. Unlike the Cholesky certificate this margin is
-# measured, not proved: a certified d within _LDU_MARGIN - 1 thresholds of
-# the pivots has every pivot above the threshold, and the verdict battery in
-# tests/test_gate_verdicts.py holds the corrected d that close.
+# An LDU sample is certified after its correction instead, by the corrected
+# triple: _ldu_certified bounds how far its d can lie from the elimination's
+# pivots and proves each of them above the threshold. Only a triple it does
+# not prove, or a step that failed, pays for the exact test, an elimination
+# by ldu_factor (~2 ms at n = 128), and its verdict is final. The seeding
+# ldu_factor decides t = 0. The certificate takes ~0.6-1 ms at n = 128,
+# most of it inverting l and u by blocks, and about as long as the
+# elimination at n = 8 (timeit, one BLAS thread).
 
 
 def _qr_domain(a: np.ndarray, t: float, cfg: ToleranceConfig) -> None:
@@ -219,9 +220,6 @@ def _cholesky_domain(a: np.ndarray, t: float, cfg: ToleranceConfig) -> None:
         raise PathLeavesDomain(t, f"a(t) not positive definite at t={t:.6g}")
 
 
-_LDU_MARGIN = 2.0
-
-
 def _zero_pivot(t: float) -> PathLeavesDomain:
     return PathLeavesDomain(t, f"a(t) has a numerically zero leading pivot at t={t:.6g}")
 
@@ -231,9 +229,38 @@ def _ldu_domain(a: np.ndarray, t: float, cfg: ToleranceConfig) -> None:
         raise _zero_pivot(t)
 
 
-def _ldu_certified(a: np.ndarray, l, d, u, cfg: ToleranceConfig) -> bool:
-    floor = _LDU_MARGIN * _scaled(cfg.singularity_tol, a)
-    return float(np.min(np.abs(np.diagonal(d)))) > floor
+def _inverse_norm(t: np.ndarray) -> float:
+    """||t^-1||_F of a lower triangle t, inverted by solve_triangular's block
+    substitution against I (inf or nan once it overflows)."""
+    return hs_norm(_substitute(t, np.eye(len(t)), _inverted_blocks(t)))
+
+
+def _ldu_certified(a: np.ndarray, fac: LDUTriple, cfg: ToleranceConfig) -> bool:
+    """Whether fac, as ldu_newton_correct returned it for a under cfg, proves
+    every pivot of ldu_factor's elimination of a above its threshold.
+
+    With x = l^-1 (a - l d u) u^-1, a = l (d + x) u, and the leading blocks
+    of a and of d + x have equal determinants, so a's pivots are those of
+    d + x. Pivot k of d + x is d_k + x_kk - x_k,<k (d + x)_<k^-1 x_<k,k, and
+    while ||x||_2 <= rho <= min |d| / 2 the last term is at most
+    rho^2 / (min |d| - rho) <= rho: each pivot lies within 2 rho of its d_k.
+    The corrector left a residual of at most its tolerance, so
+    rho = ||l^-1|| ||u^-1|| (tolerance + rounding) bounds ||x||. The rounding
+    term covers the residual's own rounding and the backward error of the
+    elimination, whose pivots are the exact pivots of a nearby matrix: to
+    first order the two together stay below _roundoff(n) ||l|| ||d||_2 ||u||
+    (Higham, ASNA 2nd ed., ch. 9), and a further ||l^-1|| ||u^-1|| covers
+    the elimination's inverted block triangles (ch. 13). Frobenius norms
+    bound the 2-norms.
+    """
+    l, u = fac.l, fac.u
+    dmag = np.abs(np.diagonal(fac.d))
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow proves nothing
+        spread = _inverse_norm(l) * _inverse_norm(u.T)
+        rounding = _roundoff(len(a)) * spread * hs_norm(l) * float(np.max(dmag)) * hs_norm(u)
+        rho = spread * (_scaled(cfg.structural_tol, a) + rounding)
+        gap = float(np.min(dmag)) - 2.0 * rho
+    return bool(np.isfinite(gap)) and gap > _scaled(cfg.singularity_tol, a)
 
 
 @dataclass(frozen=True)
@@ -256,8 +283,8 @@ class _FactorMap:
     chart_error: str
     domain: Callable  # (a, t, cfg) -> None, or raises PathLeavesDomain
     correct: Callable  # (a, guess, cfg) -> (container, iterations)
-    # (a, *parts, cfg) -> whether the parts corrected at a prove a in the
-    # domain. None: domain tests each sample before its correction
+    # (a, corrected container, cfg) -> whether the correction at a proves a
+    # in the domain. None: domain tests each sample before its correction
     certificate: Optional[Callable] = None
 
     def parts(self, fac) -> tuple:
@@ -429,19 +456,20 @@ def _advance(m, path, cfg, current, prev, nxt, depth):
         guess = m.container._own(*guess)
         corrected, spent = m.correct(a_next, guess, cfg)
     except _STEP_FAILURES:
-        if m.certificate is not None:
+        corrected = None
+    if m.certificate is not None:
+        if corrected is None or not m.certificate(a_next, corrected, cfg):
             m.domain(a_next, t_next, cfg)
-        if depth <= 0:
-            raise NoConvergence(
-                f"correction failed at t={t_next:.6g} after {_MAX_HALVINGS} step halvings"
-            ) from None
-        mid = _sample(m, path, 0.5 * (t_prev + t_next), cfg, a_prev.shape)
-        current, it1 = _advance(m, path, cfg, current, prev, mid, depth - 1)
-        corrected, it2 = _advance(m, path, cfg, current, mid, nxt, depth - 1)
-        return corrected, max(it1, it2)
-    if m.certificate is not None and not m.certificate(a_next, *m.parts(corrected), cfg):
-        m.domain(a_next, t_next, cfg)
-    return corrected, spent
+    if corrected is not None:
+        return corrected, spent
+    if depth <= 0:
+        raise NoConvergence(
+            f"correction failed at t={t_next:.6g} after {_MAX_HALVINGS} step halvings"
+        )
+    mid = _sample(m, path, 0.5 * (t_prev + t_next), cfg, a_prev.shape)
+    current, it1 = _advance(m, path, cfg, current, prev, mid, depth - 1)
+    corrected, it2 = _advance(m, path, cfg, current, mid, nxt, depth - 1)
+    return corrected, max(it1, it2)
 
 
 def _track(m: _FactorMap, path: PathSpec, cfg: ToleranceConfig) -> TrackReport:

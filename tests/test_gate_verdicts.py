@@ -7,8 +7,8 @@ many times over, so every expected verdict follows from the construction.
 Cheaper tests that run first (a Frobenius gate, a Cholesky certificate) may
 only decide inputs whose verdict is already certain; at these edges the
 outcome, the exception type, its message and its t must stay those of the
-exact tests. The LDU test certifies a tracked sample by its corrected d, so
-its battery runs whole paths through track_ldu.
+exact tests. The LDU test certifies a tracked sample by its corrected
+triple, so its battery runs whole paths through track_ldu.
 """
 
 from dataclasses import replace
@@ -19,18 +19,18 @@ from conftest import recording
 
 from factordiff import (
     DEFAULT_TOLERANCES,
+    NoConvergence,
     PathLeavesDomain,
     PathSpec,
     TooFarFromGroup,
     hs_norm,
     in_domain_p,
-    ldu_factor,
     orthogonality_defect,
     retract_orthogonal,
     track_ldu,
 )
 from factordiff import newton
-from factordiff.newton import _LDU_MARGIN, _cholesky_domain, _qr_domain
+from factordiff.newton import _cholesky_domain, _qr_domain
 
 T = 0.375
 # a threshold of 1e-6 (1 + ||a||) puts a relative 1e-6 step about 1e-12 ||a||
@@ -184,78 +184,139 @@ class TestDomainThreshold:
             assert verdict(domain, a, DEFAULT_TOLERANCES) == REFUSED[kind]
 
 
-def unit_triangle(rng, n, lower):
-    """Unit triangle with off-diagonal entries below 1/n: every row sum of
-    its strict part is below 1, so its inverse stays bounded at any n."""
-    strict = rng.uniform(-1.0, 1.0, (n, n)) / n
+def unit_triangle(rng, n, lower, spread=1.0):
+    """Unit triangle with off-diagonal entries below spread / n. At spread 1
+    every row sum of its strict part is below 1, so its inverse stays
+    bounded at any n; at spread 100 its condition number reaches ~3e3 at
+    n = 3, ~1e9 at n = 40 and ~1e6 at n = 128."""
+    strict = rng.uniform(-1.0, 1.0, (n, n)) * spread / n
     return (np.tril(strict, -1) if lower else np.triu(strict, 1)) + np.eye(n)
 
 
-def ldu_family(rng, n, k, rel, cfg):
-    """(a0, planted, a1) = (l0 d0 u0, l0 d* u1, l1 d0 u1): d* is d0 with
-    pivot k at rel * cfg.singularity_tol * (1 + ||planted||_F).
+def ldu_family(rng, n, k, rel, cfg, spread):
+    """Samples {"a0": l0 d0 u0, "planted": l0 d* u1, "a1": l1 d0 u1,
+    "near": l0 (d* + delta (e_k e_k^T + g)) u1}: d* is d0 with pivot k at
+    rel * cfg.singularity_tol * (1 + ||planted||_F).
 
     l1 = l0 (I + e_j e_i^T) and u1 = (I + beta e_i e_j^T) u0 for two indices
-    i < j other than k, with beta = -d0_j / d0_i. A step between two of the
-    three shares l or u, so its prediction is exact. The direct step from a0
-    to a1 predicts pivot j at d0_j + beta d0_i = 0, leaves the chart and
-    halves, although every pivot of a1 is one of d0.
+    i < j other than k, with beta = -d0_j / d0_i. A step between two of a0,
+    planted and a1 shares l or u, so its prediction is exact. The direct
+    step from a0 to a1 predicts pivot j at d0_j + beta d0_i = 0, leaves the
+    chart and halves, although every pivot of a1 is one of d0. near has
+    pivot k about delta = sqrt(structural_tol) above d*_k, but its g, with
+    entries up to 1, bends the factor path: the step from near to planted
+    misses pivot k by about delta^2 = structural_tol, which the corrector
+    may accept unchanged.
     """
     i, j = [m for m in range(n) if m != k][:2]
     d0 = rng.uniform(1.0, 2.0, n)
-    l0, u0 = unit_triangle(rng, n, True), unit_triangle(rng, n, False)
+    l0, u0 = unit_triangle(rng, n, True, spread), unit_triangle(rng, n, False, spread)
     l1, u1 = l0.copy(), u0.copy()
     l1[:, i] += l0[:, j]
     u1[i, :] -= d0[j] / d0[i] * u0[j, :]
     planted = d0.copy()
     for _ in range(3):  # the threshold moves with ||a||, by far less than rel's step
         planted[k] = rel * cfg.singularity_tol * (1.0 + hs_norm((l0 * planted) @ u1))
-    return (l0 * d0) @ u0, (l0 * planted) @ u1, (l1 * d0) @ u1
+    bend = rng.uniform(-1.0, 1.0, (n, n))
+    bend[k, k] = 1.0
+    near = np.diag(planted) + np.sqrt(cfg.structural_tol) * bend
+    return {
+        "a0": (l0 * d0) @ u0,
+        "planted": (l0 * planted) @ u1,
+        "a1": (l1 * d0) @ u1,
+        "near": l0 @ near @ u1,
+    }
+
+
+def through(knots):
+    """The family through the matrices knots[t], linear between them, so
+    that a halving may sample it anywhere."""
+    ts = sorted(knots)
+
+    def family(s):
+        if s in knots:
+            return knots[s]
+        hi = next(i for i, t in enumerate(ts) if t > s)
+        w = (s - ts[hi - 1]) / (ts[hi] - ts[hi - 1])
+        return (1.0 - w) * knots[ts[hi - 1]] + w * knots[ts[hi]]
+
+    return family
+
+
+# placement: (steps, the samples at t = 0, 0.5 and 1 that the path passes
+# through, t of the planted sample)
+PLACEMENTS = {
+    "grid": (2, ("a0", "planted", "a1"), 0.5),
+    "midpoint": (1, ("a0", "planted", "a1"), 0.5),
+    "start": (1, ("planted", None, "a1"), 0.0),
+    "near": (1, ("near", None, "planted"), 1.0),
+}
 
 
 LDU_RELS = [0.0, 0.5, 1.0 - 1e-6, 1.0 + 1e-6, 2.0, 1e6]
-# placement: (steps, t of the planted sample, whether a0 comes before it)
-PLACEMENTS = {"grid": (2, 0.5, True), "midpoint": (1, 0.5, True), "start": (1, 0.0, False)}
+# (spread of the triangles, structural_tol / singularity_tol): well
+# conditioned, ill conditioned, and a corrector tolerance above the pivot
+# threshold, which lets a prediction stand that misses the pivots by more
+# than the threshold
+VARIANTS = {"well": (1.0, None), "ill": (100.0, None), "loose": (1.0, 100.0)}
 
 
 class TestLDUVerdict:
     """track_ldu on paths through one sample whose pivot k (1, ceil(n/2) or
     n) sits at rel times ldu_factor's pivot threshold, as a grid sample, as
-    the midpoint of a halved step, or at t=0. The outcome must be
-    in_domain_p's verdict on that sample: a report, or PathLeavesDomain at
-    its t. The edges rel = 1 +- 1e-6 run under WIDE, so that they stand far
-    above the roundoff of the elimination."""
+    the midpoint of a halved step, at t=0, or at the end of a short step
+    whose prediction is off. The outcome must be in_domain_p's verdict on
+    that sample: a report, or PathLeavesDomain at its t. The edges
+    rel = 1 +- 1e-6 run under WIDE, so that they stand far above the
+    roundoff of a well-conditioned elimination; with ill-conditioned
+    triangles that roundoff may decide the verdict, which is then still
+    in_domain_p's."""
 
-    @pytest.mark.parametrize("where", list(PLACEMENTS))
+    @pytest.mark.parametrize("variant", list(VARIANTS))
+    @pytest.mark.parametrize("where", PLACEMENTS)
     @pytest.mark.parametrize("n", [3, 40, 128])
     @pytest.mark.parametrize("pivot", ["first", "middle", "last"])
     @pytest.mark.parametrize("rel", LDU_RELS)
-    def test_verdict(self, monkeypatch, where, n, pivot, rel):
+    def test_verdict(self, monkeypatch, variant, where, n, pivot, rel):
+        spread, loose = VARIANTS[variant]
         cfg = WIDE if abs(rel - 1.0) < 1e-3 else DEFAULT_TOLERANCES
+        if loose is not None:
+            cfg = replace(cfg, structural_tol=loose * cfg.singularity_tol)
         k = {"first": 0, "middle": (n + 1) // 2 - 1, "last": n - 1}[pivot]
-        rng = np.random.default_rng([n, k, LDU_RELS.index(rel), list(PLACEMENTS).index(where)])
-        a0, planted, a1 = ldu_family(rng, n, k, rel, cfg)
-        steps, t, after_a0 = PLACEMENTS[where]
-        samples = {0.0: a0, t: planted, 1.0: a1} if after_a0 else {t: planted, 1.0: a1}
-        evaluate, seen = recording(lambda s: samples[s])
+        seed = [n, k, LDU_RELS.index(rel), list(PLACEMENTS).index(where)]
+        rng = np.random.default_rng(seed + [list(VARIANTS).index(variant)])
+        samples = ldu_family(rng, n, k, rel, cfg, spread)
+        steps, names, t = PLACEMENTS[where]
+        knots = {s: samples[name] for s, name in zip((0.0, 0.5, 1.0), names) if name}
+        evaluate, seen = recording(through(knots))
 
+        planted = samples["planted"]
         inside = in_domain_p(planted, cfg)
-        assert inside == (rel > 1.0)
+        if variant != "ill":
+            assert inside == (rel > 1.0)
+        # the path's other samples lie inside the domain
+        assert all(in_domain_p(m, cfg) for m in knots.values() if m is not planted)
 
-        corrected = []  # d of every correction at the planted sample
+        corrected = []  # every correction at the planted sample
         correct = newton.ldu_newton_correct
 
         def recorded(a, guess, cfg, max_iters=20):
             fac, it = correct(a, guess, cfg, max_iters)
             if np.array_equal(a, planted):
-                corrected.append(np.diagonal(fac.d))
+                corrected.append(fac)
             return fac, it
 
         monkeypatch.setattr(newton, "ldu_newton_correct", recorded)
         try:
-            report = track_ldu(PathSpec(evaluate, steps=steps), cfg)
+            # a sample that only roundoff keeps in the domain is a base point
+            # no step leaves: its corrector overflows and gives up
+            with np.errstate(**({"over": "ignore", "invalid": "ignore"} if variant == "ill" else {})):
+                report = track_ldu(PathSpec(evaluate, steps=steps), cfg)
         except PathLeavesDomain as exc:
             outcome = (str(exc), exc.t)
+        except NoConvergence:
+            assert variant == "ill" and inside
+            outcome = None
         else:
             outcome = None
             assert report.ts == [i / steps for i in range(steps + 1)]
@@ -263,13 +324,23 @@ class TestLDUVerdict:
         assert outcome == (None if inside else refused)
         if where == "midpoint":
             assert seen[:3] == [0.0, 1.0, 0.5]
+        # the certificate itself, not only the exact test after it, must
+        # never prove a sample that in_domain_p refuses
+        assert inside or not any(newton._ldu_certified(planted, f, cfg) for f in corrected)
 
-        # how far a corrected d may sit from the elimination's pivots: below
-        # (_LDU_MARGIN - 1) thresholds, a certified d (every |d_k| above
-        # _LDU_MARGIN thresholds) has every pivot above the threshold
-        if corrected:
-            thresh = cfg.singularity_tol * (1.0 + hs_norm(planted))
-            exact = replace(cfg, singularity_tol=float(np.finfo(np.float64).tiny))
-            pivots = np.diagonal(ldu_factor(planted, exact).d)
-            gap = max(float(np.max(np.abs(d - pivots))) for d in corrected) / thresh
-            assert gap < _LDU_MARGIN - 1.0
+    def test_corrector_tolerance_above_threshold(self):
+        # at structural_tol 1e-8 the corrector accepts the predicted d_2 =
+        # 2e-8 at t = 1 unchanged, but a(1) = [[1, 1], [1, 1]] has a zero
+        # second pivot: the certificate must not read the domain from that d
+        cfg = replace(DEFAULT_TOLERANCES, structural_tol=1e-8)
+
+        def family(t):
+            c = 1.0 - 2e-4 * (1.0 - t)
+            return np.array([[1.0, c], [c, 1.0]])
+
+        with pytest.raises(PathLeavesDomain) as left:
+            track_ldu(PathSpec(family, steps=2), cfg)
+        assert (str(left.value), left.value.t) == (
+            "a(t) has a numerically zero leading pivot at t=1",
+            1.0,
+        )
