@@ -4,19 +4,27 @@ tracking of factor paths along smooth matrix families.
 Because each derivative is an isomorphism on the open factor domain, Newton's
 method applies directly: solve the derivative equation for the residual, step,
 and (for the orthogonal factor) retract back onto the group via the polar
-factor. Tracking advances a factorization along a parametrized family with a
-first-order prediction followed by Newton correction, halving the step (up to
-four times per interval) when a correction fails.
+factor. Tracking advances a factorization along a parametrized family by
+prediction followed by Newton correction. The factor path is analytic, so
+once a run has three accepted samples, the quadratic through them predicts
+the next one with O(h^3) error and no derivative solve (the multistep
+predictor of Allgower & Georg, Introduction to Numerical Continuation
+Methods, SIAM 2003). The first-order prediction, one derivative solve for
+the change in the input, runs for the first two steps of a run and of each
+halved interval, and whenever the extrapolated guess or its correction
+fails. When that fails too, the step halves (up to four times per interval).
 
 The three maps differ only in their pieces (components, kernel, product,
-derivative solve and apply, update, chart and domain tests), which one
-private table holds per map; one step (solve, then update, for a prediction
-and a Newton correction alike), one corrector and one tracker run from it,
-and so do the CLI and the derivative check in verify.
+derivative solve and apply, settling onto the manifold, chart and domain
+tests), which one private table holds per map; one step (solve, then move
+and settle, for a prediction and a Newton correction alike), one corrector
+and one tracker run from it, and so do the CLI and the derivative check in
+verify.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Tuple
 
@@ -73,6 +81,7 @@ __all__ = [
 ]
 
 _MAX_HALVINGS = 4
+_HISTORY = 3  # accepted samples the predictor extrapolates through: a quadratic
 _STEP_FAILURES = (
     NoConvergence,
     ConvergedOutsideChart,
@@ -112,6 +121,10 @@ class TrackReport:
     sqrt(sum of squared component norms), which is what blows up when a path
     approaches the boundary of the LDU domain. residuals[i] is the
     reconstruction residual at sample i and max_residual is their maximum.
+    The corrector stops once a residual is within structural_tol (1 +
+    ||a(t)||), so a residual may sit near that tolerance: an extrapolated
+    guess often passes it after zero or one iteration, where the extra
+    iteration a first-order guess needs would often have reached roundoff.
     """
 
     ts: List[float]
@@ -278,7 +291,7 @@ class _FactorMap:
     solve: Callable  # (*parts, e, cfg) -> tangent
     apply: Callable  # (*parts, tangent, cfg) -> matrix
     tangent: Callable  # tangent -> its components, in tangent_names order
-    update: Callable  # (*parts, tangent, cfg) -> parts moved along the tangent
+    settle: Callable  # (*parts, cfg) -> the parts back on the factor manifold (q retracted)
     off_chart: Callable  # (*parts, cfg) -> whether a corrector iterate left the chart
     chart_error: str
     domain: Callable  # (a, t, cfg) -> None, or raises PathLeavesDomain
@@ -305,7 +318,7 @@ _MAPS = {
         solve=lambda q, r, e, cfg: qr_derivative_solve(q, r, e, cfg),
         apply=lambda q, r, tan, cfg: qr_derivative_apply(q, r, tan, cfg),
         tangent=lambda tan: (tan.u, tan.v),
-        update=lambda q, r, tan, cfg: (retract_orthogonal(q + tan.u, cfg), r + tan.v),
+        settle=lambda q, r, cfg: (retract_orthogonal(q, cfg), r),
         off_chart=lambda q, r, cfg: np.any(np.diag(r) < 0.0),
         chart_error="diagonal of r went negative",
         domain=_qr_domain,
@@ -320,7 +333,7 @@ _MAPS = {
         solve=lambda l, e, cfg: cholesky_derivative_solve(l, e, cfg),
         apply=lambda l, v, cfg: cholesky_derivative_apply(l, v),
         tangent=lambda v: (v,),
-        update=lambda l, v, cfg: (l + v,),
+        settle=lambda l, cfg: (l,),
         off_chart=lambda l, cfg: np.any(np.diag(l) < 0.0),
         chart_error="diagonal of l went negative",
         domain=_cholesky_domain,
@@ -335,7 +348,7 @@ _MAPS = {
         solve=lambda l, d, u, e, cfg: ldu_derivative_solve(l, d, u, e, cfg),
         apply=lambda l, d, u, tan, cfg: ldu_derivative_apply(l, d, u, tan),
         tangent=lambda tan: (tan.a, tan.s, tan.b),
-        update=lambda l, d, u, tan, cfg: (l + tan.a, d + tan.s, u + tan.b),
+        settle=lambda l, d, u, cfg: (l, d, u),
         off_chart=lambda l, d, u, cfg: _singular_d(d, cfg),
         chart_error="diagonal factor lost invertibility",
         domain=_ldu_domain,
@@ -352,10 +365,18 @@ def _step(m: _FactorMap, parts: tuple, e: np.ndarray, cfg: ToleranceConfig):
     if m.symmetric:  # roundoff breaks the exact symmetry the solve requires
         e = 0.5 * (e + e.T)
     tan = m.solve(*parts, e, cfg)
-    parts = m.update(*parts, tan, cfg)
+    return tan, _vetted(m, (p + c for p, c in zip(parts, m.tangent(tan))), cfg)
+
+
+def _vetted(m: _FactorMap, parts, cfg: ToleranceConfig) -> tuple:
+    """parts settled back on the factor manifold, or ConvergedOutsideChart
+    when they left the chart. The chart test is the container's numeric
+    test or a stricter one, and retract_orthogonal's last Gram test is
+    QRPair's, bit for bit, so the parts may go to _own."""
+    parts = m.settle(*parts, cfg)
     if m.off_chart(*parts, cfg):
         raise ConvergedOutsideChart(m.chart_error)
-    return tan, parts
+    return parts
 
 
 def _correct(m: _FactorMap, a, guess, cfg: ToleranceConfig, max_iters: int):
@@ -373,7 +394,7 @@ def _correct(m: _FactorMap, a, guess, cfg: ToleranceConfig, max_iters: int):
     for it in range(max_iters + 1):
         residual = a - m.product(*parts)
         if hs_norm(residual) <= tol:
-            # parts are _step's, vetted as in _advance, or the guess's own
+            # parts are _step's, _vetted ones, or the guess's own
             return (m.container._own(*parts) if it else m.container(*parts, cfg)), it
         if it == max_iters:
             break
@@ -442,33 +463,60 @@ def _sample(m, path: PathSpec, t: float, cfg: ToleranceConfig, shape=None) -> tu
     return t, a
 
 
-def _advance(m, path, cfg, current, prev, nxt, depth):
-    """The factor at sample nxt = (t, a) from current at prev, and its worst
-    iteration count. A halving samples only its midpoint. Under a
+def _extrapolated(m: _FactorMap, history: list, t: float, cfg: ToleranceConfig):
+    """The parts of the guess at t from the accepted samples (t_i, factor_i)
+    in history: the Lagrange polynomial through them, taken per component,
+    settled and vetted as a step's iterate is."""
+    knots = [s for s, _ in history]
+    weights = [math.prod((t - s) / (k - s) for s in knots if s != k) for k in knots]
+    columns = zip(*(m.parts(fac) for _, fac in history))
+    return _vetted(m, (sum(w * p for w, p in zip(weights, c)) for c in columns), cfg)
+
+
+def _advance(m, path, cfg, history, prev, nxt, depth):
+    """The factor at sample nxt = (t, a), reached from prev, the sample of
+    the last factor in history, and its worst iteration count.
+
+    history holds the run's last accepted samples (t, factor), oldest first;
+    each accepted sample joins it. Once it holds _HISTORY of them, their
+    extrapolant is the guess, and the derivative step from the last factor
+    runs only when that guess, or its correction, fails. A halving samples
+    only its midpoint and restarts history at its left sample. Under a
     certificate, a corrected factor it does not certify, and a failed step,
     get the exact domain test of nxt."""
     (t_prev, a_prev), (t_next, a_next) = prev, nxt
-    try:
-        # tan stays bound through the correction, as the corrector's does
-        tan, guess = _step(m, m.parts(current), a_next - a_prev, cfg)
-        # _step's chart test ran the container's numeric test or a stricter
-        # one, and retract_orthogonal's last Gram test is QRPair's, bit for bit
-        guess = m.container._own(*guess)
-        corrected, spent = m.correct(a_next, guess, cfg)
-    except _STEP_FAILURES:
-        corrected = None
+    corrected = None
+    # an overflowed iterate is a failed step: _own refuses non-finite parts
+    with np.errstate(over="ignore", invalid="ignore"):
+        if len(history) == _HISTORY:
+            try:
+                guess = m.container._own(*_extrapolated(m, history, t_next, cfg))
+                corrected, spent = m.correct(a_next, guess, cfg)
+            except _STEP_FAILURES:
+                pass
+        if corrected is None:
+            try:
+                # tan stays bound through the correction, as the corrector's does
+                tan, guess = _step(m, m.parts(history[-1][1]), a_next - a_prev, cfg)
+                guess = m.container._own(*guess)
+                corrected, spent = m.correct(a_next, guess, cfg)
+            except _STEP_FAILURES:
+                pass
     if m.certificate is not None:
         if corrected is None or not m.certificate(a_next, corrected, cfg):
             m.domain(a_next, t_next, cfg)
     if corrected is not None:
+        history.append((t_next, corrected))
+        del history[:-_HISTORY]
         return corrected, spent
     if depth <= 0:
         raise NoConvergence(
             f"correction failed at t={t_next:.6g} after {_MAX_HALVINGS} step halvings"
         )
+    del history[:-1]  # the halved interval starts from its left sample alone
     mid = _sample(m, path, 0.5 * (t_prev + t_next), cfg, a_prev.shape)
-    current, it1 = _advance(m, path, cfg, current, prev, mid, depth - 1)
-    corrected, it2 = _advance(m, path, cfg, current, mid, nxt, depth - 1)
+    _, it1 = _advance(m, path, cfg, history, prev, mid, depth - 1)
+    corrected, it2 = _advance(m, path, cfg, history, mid, nxt, depth - 1)
     return corrected, max(it1, it2)
 
 
@@ -482,9 +530,10 @@ def _track(m: _FactorMap, path: PathSpec, cfg: ToleranceConfig) -> TrackReport:
     factors = [current]
     iters = [0]
     residuals = [hs_norm(prev[1] - current.product())]
+    history = [(ts[0], current)]
     for t in ts[1:]:
         nxt = _sample(m, path, t, cfg, prev[1].shape)
-        current, spent = _advance(m, path, cfg, current, prev, nxt, _MAX_HALVINGS)
+        current, spent = _advance(m, path, cfg, history, prev, nxt, _MAX_HALVINGS)
         prev = nxt  # frees the last sample before the residual's temporaries
         factors.append(current)
         iters.append(spent)
@@ -504,7 +553,10 @@ def track_qr(path: PathSpec, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> Track
     matrix family.
 
     The start is seeded by direct factorization; each subsequent sample is
-    reached by a derivative-solve prediction plus Newton correction. On the
+    reached by a prediction plus Newton correction. The prediction is the
+    quadratic through the last three accepted pairs, with q retracted onto
+    the group, and a derivative-solve step from the last pair where fewer
+    than three exist or that guess fails. On the
     invertible domain the factor path is unique, so direct factorization at
     any sample is a valid oracle for the tracked pair.
 

@@ -310,8 +310,7 @@ class TestLDUVerdict:
         try:
             # a sample that only roundoff keeps in the domain is a base point
             # no step leaves: its corrector overflows and gives up
-            with np.errstate(**({"over": "ignore", "invalid": "ignore"} if variant == "ill" else {})):
-                report = track_ldu(PathSpec(evaluate, steps=steps), cfg)
+            report = track_ldu(PathSpec(evaluate, steps=steps), cfg)
         except PathLeavesDomain as exc:
             outcome = (str(exc), exc.t)
         except NoConvergence:

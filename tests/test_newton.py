@@ -28,6 +28,7 @@ from factordiff import (
     track_ldu,
     track_qr,
 )
+from factordiff import newton
 
 
 class TestRetractOrthogonal:
@@ -347,6 +348,81 @@ def test_ldu_halvings_sample_each_t_once():
     with pytest.raises(NoConvergence, match="correction failed at t=0.71875 after 4 step halvings"):
         track_ldu(PathSpec(evaluate, steps=64))
     assert len(seen) == len(set(seen)) == 51
+
+
+class TestQuadraticPredictor:
+    """From its third step on, a run guesses each sample by the quadratic
+    through the last three accepted factors, and takes the derivative step
+    only when that guess or its correction fails."""
+
+    @pytest.mark.parametrize("n", [3, 20])
+    def test_cholesky_affine_factor_path(self, n):
+        # l(t) = l0 + t l1 is the factor path, and a quadratic reproduces it up
+        # to the samples' residuals; after a derivative step, 2-3 iterations
+        rng = np.random.default_rng(n)
+        l0 = np.tril(rng.uniform(-0.5, 0.5, (n, n)), -1) + np.diag(rng.uniform(1.0, 2.0, n))
+        l1 = np.tril(rng.uniform(-0.5, 0.5, (n, n)))
+        report = track_cholesky(PathSpec(lambda t: (l0 + t * l1) @ (l0 + t * l1).T, steps=8))
+        assert max(report.newton_iters[3:]) <= 1
+
+    @pytest.mark.parametrize("n", [3, 20])
+    def test_ldu_affine_factor_path(self, n):
+        rng = np.random.default_rng(n)
+        lower = np.tril(rng.uniform(-0.5, 0.5, (2, n, n)), -1)
+        upper = np.triu(rng.uniform(-0.5, 0.5, (2, n, n)), 1)
+        d0, d1 = rng.uniform(1.0, 2.0, n), rng.uniform(-0.5, 0.5, n)
+
+        def family(t):
+            l, u = np.eye(n) + lower[0] + t * lower[1], np.eye(n) + upper[0] + t * upper[1]
+            return (l * (d0 + t * d1)) @ u
+
+        report = track_ldu(PathSpec(family, steps=8))
+        assert max(report.newton_iters[3:]) <= 1
+
+    @staticmethod
+    def _guesses(monkeypatch, turn, steps):
+        """The t of each sample that track_qr accepts on R(turn(t)) S, with
+        whether the derivative step predicted it: a public derivative solve
+        ran outside the corrector since the previous correction."""
+        solve, correct = newton.qr_derivative_solve, newton.qr_newton_correct
+        state = {"correcting": False, "stepped": False}
+        accepted = []
+
+        def solved(*args):
+            state["stepped"] |= not state["correcting"]
+            return solve(*args)
+
+        def corrected(a, guess, cfg, max_iters=20):
+            stepped, state["stepped"], state["correcting"] = state["stepped"], False, True
+            try:
+                fac, it = correct(a, guess, cfg, max_iters)
+            finally:
+                state["correcting"] = False
+            accepted.append((a, stepped))
+            return fac, it
+
+        monkeypatch.setattr(newton, "qr_derivative_solve", solved)
+        monkeypatch.setattr(newton, "qr_newton_correct", corrected)
+
+        def family(t):
+            return _rotation(turn(t)) @ TestStepHalving.scale
+
+        evaluate, seen = recording(family)
+        track_qr(PathSpec(evaluate, steps=steps))
+        return [(next(t for t in seen if np.array_equal(family(t), a)), s) for a, s in accepted]
+
+    def test_halving_restarts_the_history(self, monkeypatch):
+        # the steps to 0.25 and 0.5 leave three samples, but the step from 0.5
+        # to 1 fails and halves: its two substeps predict by derivative steps
+        assert self._guesses(monkeypatch, lambda t: 2.0 * t, steps=1) == [
+            (0.25, True), (0.5, True), (0.75, True), (1.0, True)
+        ]
+
+    def test_extrapolation_resumes_after_two_substeps(self, monkeypatch):
+        # the turn slows down: the steps to 0.125 and then to 0.0625 halve,
+        # and the substep after the two to 0.03125 and 0.0625 extrapolates
+        guesses = self._guesses(monkeypatch, lambda t: 2.0 - 2.0 * np.exp(-8.0 * t), steps=8)
+        assert guesses[:3] == [(0.03125, True), (0.0625, True), (0.125, False)]
 
 
 @pytest.mark.parametrize("max_iters", [-1, 2.5])
