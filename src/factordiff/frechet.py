@@ -111,7 +111,7 @@ def solve_triangular(t, c, inverses=None):
 def _substitute(t, c, inverses):
     """solve_triangular's block back substitution. Derivative solves enter it
     through solve_triangular, whose traced calls count them; the inversions
-    of newton's LDU sample certificate enter here."""
+    of newton's sample certificates enter here."""
     t, c = t[::-1, ::-1], c[::-1]
     x = np.empty(c.shape)
     # the bottom block has no rows solved below it; a contiguous copy of its

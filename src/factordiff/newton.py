@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, Tuple
 
 import numpy as np
 
@@ -48,6 +48,7 @@ from .errors import (
     ConvergedOutsideChart,
     NoConvergence,
     NotInDomainP,
+    NotPositiveSemiDefinite,
     NotSymmetric,
     PathLeavesDomain,
     ShapeError,
@@ -90,6 +91,7 @@ _STEP_FAILURES = (
     SingularL,
     SingularD,
     TooFarFromGroup,
+    NotSymmetric,  # a Cholesky sample that lost symmetry: the exact test names it
 )
 
 
@@ -172,51 +174,23 @@ def _roundoff(n: int) -> float:
     return 4.0 * (n + 2) * _EPS
 
 
-def _certified_above(h: np.ndarray, floor: float) -> bool:
-    """Whether potrf proves every eigenvalue of the symmetric h above floor.
-
-    Cholesky completing on h - shift I means h - shift I + E is positive
-    definite for some E of 2-norm at most (n + 1) eps trace(h) (Higham, ASNA
-    2nd ed., ch. 10: |E| <= (n + 1) eps |R^T| |R| to first order, and
-    || |R^T| |R| ||_2 <= trace(R^T R)). The shift adds
-    _roundoff(n) trace(h) to floor: that covers E, the rounding of the shift
-    and an error of up to n eps trace(h) in forming h = a^T a. A failure
-    proves nothing, and the caller runs its exact test.
-    """
-    n = h.shape[0]
-    shift = floor + _roundoff(n) * abs(float(np.trace(h)))
-    if not np.isfinite(shift):  # an overflowed ||a|| certifies nothing
-        return False
-    try:
-        l = np.linalg.cholesky(h - shift * np.eye(n))
-    except np.linalg.LinAlgError:
-        return False
-    # potrf completes on NaN entries, and a NaN anywhere reaches the diagonal
-    return bool(np.all(np.isfinite(np.diagonal(l))))
+def _inverse_norm(t: np.ndarray) -> float:
+    """||t^-1||_F of a lower triangle t, inverted by solve_triangular's block
+    substitution against I: inf for a zero on its diagonal, and inf or nan
+    once the inverse overflows."""
+    if not np.all(np.diagonal(t)):
+        return math.inf
+    return hs_norm(_substitute(t, np.eye(len(t)), _inverted_blocks(t)))
 
 
-# Each domain test tries a cheap certificate before its exact test. QR and
-# Cholesky samples get a shifted Cholesky certificate before the exact
-# svd/eigvalsh test. Its floor lies _roundoff(n) (1 + ||a||) above the
-# threshold, more than the error of the svd or eigvalsh, so a certified sample
-# also passes the exact test: the verdict and its t are always the exact
-# test's. At n = 128 the QR certificate takes ~0.5 ms against ~2.3 ms for the
-# svd, and the Cholesky one ~0.5 ms against ~0.8 ms for eigvalsh.
-#
-# An LDU sample is certified after its correction instead, by the corrected
-# triple: _ldu_certified bounds how far its d can lie from the elimination's
-# pivots and proves each of them above the threshold. Only a triple it does
-# not prove, or a step that failed, pays for the exact test, an elimination
-# by ldu_factor (~2 ms at n = 128), and its verdict is final. The seeding
-# ldu_factor decides t = 0. The certificate takes ~0.6-1 ms at n = 128,
-# most of it inverting l and u by blocks, and about as long as the
-# elimination at n = 8 (timeit, one BLAS thread).
+# One rule for every tracked sample: a certificate bounds how far a lies from
+# the domain's boundary by the conditioning of the factor accepted there,
+# whose residual is within the corrector's tolerance. Only a factor it does
+# not prove, or a failed step, runs the exact test, whose verdict is final,
+# so every verdict and its t are the exact test's up to first-order rounding.
 
 
 def _qr_domain(a: np.ndarray, t: float, cfg: ToleranceConfig) -> None:
-    floor = _scaled(cfg.singularity_tol + _roundoff(len(a)), a)
-    if _certified_above(a.T @ a, floor * floor):
-        return
     smallest = float(np.linalg.svd(a, compute_uv=False)[-1])
     if smallest <= _scaled(cfg.singularity_tol, a):
         raise PathLeavesDomain(t, f"a(t) numerically singular at t={t:.6g}")
@@ -225,32 +199,55 @@ def _qr_domain(a: np.ndarray, t: float, cfg: ToleranceConfig) -> None:
 def _cholesky_domain(a: np.ndarray, t: float, cfg: ToleranceConfig) -> None:
     if not _symmetric(a, cfg):
         raise PathLeavesDomain(t, f"a(t) not symmetric at t={t:.6g}")
-    sym = 0.5 * (a + a.T)
-    if _certified_above(sym, _scaled(cfg.singularity_tol + _roundoff(len(a)), a)):
-        return
-    smallest = float(np.linalg.eigvalsh(sym)[0])
+    smallest = float(np.linalg.eigvalsh(0.5 * (a + a.T))[0])
     if smallest <= _scaled(cfg.singularity_tol, a):
         raise PathLeavesDomain(t, f"a(t) not positive definite at t={t:.6g}")
 
 
-def _zero_pivot(t: float) -> PathLeavesDomain:
-    return PathLeavesDomain(t, f"a(t) has a numerically zero leading pivot at t={t:.6g}")
-
-
 def _ldu_domain(a: np.ndarray, t: float, cfg: ToleranceConfig) -> None:
     if not in_domain_p(a, cfg):
-        raise _zero_pivot(t)
+        raise PathLeavesDomain(t, f"a(t) has a numerically zero leading pivot at t={t:.6g}")
 
 
-def _inverse_norm(t: np.ndarray) -> float:
-    """||t^-1||_F of a lower triangle t, inverted by solve_triangular's block
-    substitution against I (inf or nan once it overflows)."""
-    return hs_norm(_substitute(t, np.eye(len(t)), _inverted_blocks(t)))
+def _qr_certified(a: np.ndarray, fac: QRPair, cfg: ToleranceConfig) -> bool:
+    """Whether fac, accepted for a under cfg, proves the svd's smallest
+    singular value of a above its threshold.
+
+    By Weyl, sigma_min(a) >= sigma_min(q) / ||r^-1||_2 - ||a - q r||_2, and
+    sigma_min(q) >= 1 - ||q^T q - I||_2. To first order, _roundoff(n) ||q||
+    ||r|| covers the rounding of the residual, of q^T q and of r^-1 (Higham,
+    ASNA 2nd ed., ch. 14) and the svd's error, p(n) eps ||a||_2. Frobenius
+    norms bound the 2-norms, here and in _cholesky_certified.
+    """
+    q, r = fac.q, fac.r
+    n = len(a)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # an overflow proves nothing
+        floor = (1.0 - hs_norm(q.T @ q - np.eye(n))) / np.float64(_inverse_norm(r.T))
+        rounding = _roundoff(n) * hs_norm(q) * hs_norm(r)
+        gap = floor - _scaled(cfg.structural_tol, a) - rounding
+    return bool(np.isfinite(gap)) and gap > _scaled(cfg.singularity_tol, a)
+
+
+def _cholesky_certified(a: np.ndarray, fac: CholeskyFactor, cfg: ToleranceConfig) -> bool:
+    """Whether fac, accepted for a under cfg, proves eigvalsh's smallest
+    eigenvalue of the symmetric part of a above its threshold.
+
+    By Weyl, lambda_min(a) >= 1 / ||l^-1||_2^2 - ||a - l l^T||_2 (the
+    symmetric part of a has no larger residual). To first order,
+    _roundoff(n) ||l||^2 covers the rounding of the residual and of l^-1
+    (Higham, ASNA 2nd ed., ch. 14) and eigvalsh's error, p(n) eps ||a||_2.
+    """
+    l = fac.l
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # an overflow proves nothing
+        spread, size = np.float64(_inverse_norm(l)), hs_norm(l)
+        rounding = _roundoff(len(a)) * size * size
+        gap = 1.0 / (spread * spread) - _scaled(cfg.structural_tol, a) - rounding
+    return bool(np.isfinite(gap)) and gap > _scaled(cfg.singularity_tol, a)
 
 
 def _ldu_certified(a: np.ndarray, fac: LDUTriple, cfg: ToleranceConfig) -> bool:
-    """Whether fac, as ldu_newton_correct returned it for a under cfg, proves
-    every pivot of ldu_factor's elimination of a above its threshold.
+    """Whether fac, accepted for a under cfg, proves every pivot of
+    ldu_factor's elimination of a above its threshold.
 
     With x = l^-1 (a - l d u) u^-1, a = l (d + x) u, and the leading blocks
     of a and of d + x have equal determinants, so a's pivots are those of
@@ -294,11 +291,9 @@ class _FactorMap:
     settle: Callable  # (*parts, cfg) -> the parts back on the factor manifold (q retracted)
     off_chart: Callable  # (*parts, cfg) -> whether a corrector iterate left the chart
     chart_error: str
-    domain: Callable  # (a, t, cfg) -> None, or raises PathLeavesDomain
+    domain: Callable  # (a, t, cfg) -> None, or raises PathLeavesDomain: the exact test
+    certificate: Callable  # (a, accepted container, cfg) -> whether it proves a in the domain
     correct: Callable  # (a, guess, cfg) -> (container, iterations)
-    # (a, corrected container, cfg) -> whether the correction at a proves a
-    # in the domain. None: domain tests each sample before its correction
-    certificate: Optional[Callable] = None
 
     def parts(self, fac) -> tuple:
         return tuple(getattr(fac, c) for c in self.container.__slots__)
@@ -322,6 +317,7 @@ _MAPS = {
         off_chart=lambda q, r, cfg: np.any(np.diag(r) < 0.0),
         chart_error="diagonal of r went negative",
         domain=_qr_domain,
+        certificate=_qr_certified,
         correct=lambda a, guess, cfg: qr_newton_correct(a, guess, cfg),
     ),
     "cholesky": _FactorMap(
@@ -337,6 +333,7 @@ _MAPS = {
         off_chart=lambda l, cfg: np.any(np.diag(l) < 0.0),
         chart_error="diagonal of l went negative",
         domain=_cholesky_domain,
+        certificate=_cholesky_certified,
         correct=lambda a, guess, cfg: cholesky_newton_correct(a, guess, cfg),
     ),
     "ldu": _FactorMap(
@@ -352,8 +349,8 @@ _MAPS = {
         off_chart=lambda l, d, u, cfg: _singular_d(d, cfg),
         chart_error="diagonal factor lost invertibility",
         domain=_ldu_domain,
-        correct=lambda a, guess, cfg: ldu_newton_correct(a, guess, cfg),
         certificate=_ldu_certified,
+        correct=lambda a, guess, cfg: ldu_newton_correct(a, guess, cfg),
     ),
 }
 
@@ -454,12 +451,10 @@ def ldu_newton_correct(
     return _correct(_MAPS["ldu"], a, guess, cfg, max_iters)
 
 
-def _sample(m, path: PathSpec, t: float, cfg: ToleranceConfig, shape=None) -> tuple:
+def _sample(path: PathSpec, t: float, shape=None) -> tuple:
     a = validate_matrix(path.evaluate(t), f"a({t:.6g})")
     if shape is not None and a.shape != shape:
         raise ShapeError(f"a({t:.6g}) has shape {a.shape}, but a(0) has shape {shape}")
-    if m.certificate is None:
-        m.domain(a, t, cfg)
     return t, a
 
 
@@ -481,9 +476,9 @@ def _advance(m, path, cfg, history, prev, nxt, depth):
     each accepted sample joins it. Once it holds _HISTORY of them, their
     extrapolant is the guess, and the derivative step from the last factor
     runs only when that guess, or its correction, fails. A halving samples
-    only its midpoint and restarts history at its left sample. Under a
-    certificate, a corrected factor it does not certify, and a failed step,
-    get the exact domain test of nxt."""
+    only its midpoint and restarts history at its left sample. A corrected
+    factor that its certificate does not prove, and a failed step, get the
+    exact domain test of nxt."""
     (t_prev, a_prev), (t_next, a_next) = prev, nxt
     corrected = None
     # an overflowed iterate is a failed step: _own refuses non-finite parts
@@ -502,9 +497,8 @@ def _advance(m, path, cfg, history, prev, nxt, depth):
                 corrected, spent = m.correct(a_next, guess, cfg)
             except _STEP_FAILURES:
                 pass
-    if m.certificate is not None:
-        if corrected is None or not m.certificate(a_next, corrected, cfg):
-            m.domain(a_next, t_next, cfg)
+    if corrected is None or not m.certificate(a_next, corrected, cfg):
+        m.domain(a_next, t_next, cfg)
     if corrected is not None:
         history.append((t_next, corrected))
         del history[:-_HISTORY]
@@ -514,7 +508,7 @@ def _advance(m, path, cfg, history, prev, nxt, depth):
             f"correction failed at t={t_next:.6g} after {_MAX_HALVINGS} step halvings"
         )
     del history[:-1]  # the halved interval starts from its left sample alone
-    mid = _sample(m, path, 0.5 * (t_prev + t_next), cfg, a_prev.shape)
+    mid = _sample(path, 0.5 * (t_prev + t_next), a_prev.shape)
     _, it1 = _advance(m, path, cfg, history, prev, mid, depth - 1)
     corrected, it2 = _advance(m, path, cfg, history, mid, nxt, depth - 1)
     return corrected, max(it1, it2)
@@ -522,17 +516,21 @@ def _advance(m, path, cfg, history, prev, nxt, depth):
 
 def _track(m: _FactorMap, path: PathSpec, cfg: ToleranceConfig) -> TrackReport:
     ts = [i / path.steps for i in range(path.steps + 1)]
-    prev = _sample(m, path, ts[0], cfg)
-    try:
-        current = m.factor(prev[1], cfg)
-    except NotInDomainP:  # only the LDU kernel raises it
-        raise _zero_pivot(ts[0]) from None
+    prev = _sample(path, ts[0])
+    a = prev[1]
+    try:  # at t = 0 the kernel is the corrector, and its refusal a failed step
+        current = m.factor(a, cfg)
+    except (NotInDomainP, NotSymmetric, NotPositiveSemiDefinite):
+        m.domain(a, ts[0], cfg)
+        raise
+    residuals = [hs_norm(a - current.product())]  # the certificate's premise: the stop test
+    if residuals[0] > _scaled(cfg.structural_tol, a) or not m.certificate(a, current, cfg):
+        m.domain(a, ts[0], cfg)
     factors = [current]
     iters = [0]
-    residuals = [hs_norm(prev[1] - current.product())]
     history = [(ts[0], current)]
     for t in ts[1:]:
-        nxt = _sample(m, path, t, cfg, prev[1].shape)
+        nxt = _sample(path, t, prev[1].shape)
         current, spent = _advance(m, path, cfg, history, prev, nxt, _MAX_HALVINGS)
         prev = nxt  # frees the last sample before the residual's temporaries
         factors.append(current)
@@ -556,9 +554,9 @@ def track_qr(path: PathSpec, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> Track
     reached by a prediction plus Newton correction. The prediction is the
     quadratic through the last three accepted pairs, with q retracted onto
     the group, and a derivative-solve step from the last pair where fewer
-    than three exist or that guess fails. On the
-    invertible domain the factor path is unique, so direct factorization at
-    any sample is a valid oracle for the tracked pair.
+    than three exist or that guess fails. On the invertible domain the factor
+    path is unique, so direct factorization at any sample is a valid oracle
+    for the tracked pair.
 
     Raises PathLeavesDomain when a sampled matrix is numerically singular,
     NoConvergence when a correction step fails even after halving.

@@ -4,11 +4,12 @@ at their thresholds.
 Each input sits a relative 1e-9 (retraction) or 1e-6 (domain tests) inside
 or outside its threshold, at a distance the exact svd/eigvalsh tests resolve
 many times over, so every expected verdict follows from the construction.
-Cheaper tests that run first (a Frobenius gate, a Cholesky certificate) may
-only decide inputs whose verdict is already certain; at these edges the
-outcome, the exception type, its message and its t must stay those of the
-exact tests. The LDU test certifies a tracked sample by its corrected
-triple, so its battery runs whole paths through track_ldu.
+A cheaper test that runs first may only decide inputs whose verdict is
+already certain: the retraction's Frobenius gate, and the certificate that
+each tracker reads from the factors it accepted at a sample before it runs
+the exact test. At these edges the outcome, the exception type, its message
+and its t must stay those of the exact tests. The certificates read factors
+from the corrector, so their batteries run whole paths through the trackers.
 """
 
 from dataclasses import replace
@@ -19,15 +20,23 @@ from conftest import recording
 
 from factordiff import (
     DEFAULT_TOLERANCES,
+    CholeskyFactor,
+    LDUTriple,
     NoConvergence,
     PathLeavesDomain,
     PathSpec,
+    QRPair,
     TooFarFromGroup,
+    cholesky_factor,
     hs_norm,
     in_domain_p,
+    ldu_factor,
     orthogonality_defect,
+    qr_factor,
     retract_orthogonal,
+    track_cholesky,
     track_ldu,
+    track_qr,
 )
 from factordiff import newton
 from factordiff.newton import _cholesky_domain, _qr_domain
@@ -109,19 +118,25 @@ class TestRetractionGate:
         assert np.array_equal(retract_orthogonal(m), reference_retract(m))
 
 
-def qr_sample(rng, n, rel, cfg):
-    """a with smallest singular value rel * cfg.singularity_tol * (1 + ||a||_F)."""
+def qr_sample(rng, n, rel, cfg, decades=0.0):
+    """a with smallest singular value rel * cfg.singularity_tol * (1 + ||a||_F),
+    the others in [1, 2], each divided by 10^U(0, decades) when decades > 0.
+    The draws do not depend on rel."""
     s = rng.uniform(1.0, 2.0, n)
+    if decades:
+        s /= 10.0 ** rng.uniform(0.0, decades, n)
     u, v = orthogonal(rng, n), orthogonal(rng, n)
     for _ in range(3):  # the threshold moves with ||a||, by far less than rel's step
         s[-1] = rel * cfg.singularity_tol * (1.0 + float(np.sqrt(np.sum(s * s))))
     return (u * s[None, :]) @ v.T
 
 
-def cholesky_sample(rng, n, rel, cfg):
+def cholesky_sample(rng, n, rel, cfg, decades=0.0):
     """Exactly symmetric a with smallest eigenvalue rel * cfg.singularity_tol *
-    (1 + ||a||_F)."""
+    (1 + ||a||_F), the others as qr_sample's singular values."""
     lam = rng.uniform(1.0, 2.0, n)
+    if decades:
+        lam /= 10.0 ** rng.uniform(0.0, decades, n)
     v = orthogonal(rng, n)
     for _ in range(3):
         lam[-1] = rel * cfg.singularity_tol * (1.0 + float(np.sqrt(np.sum(lam * lam))))
@@ -182,6 +197,65 @@ class TestDomainThreshold:
         a = 1e200 * sample(np.random.default_rng(23 + n), n, 1e6, DEFAULT_TOLERANCES)
         with np.errstate(over="ignore", invalid="ignore"):
             assert verdict(domain, a, DEFAULT_TOLERANCES) == REFUSED[kind]
+
+
+def factor_cases(n, scale):
+    """{map: (a, factor)}: a is scale times a sample well inside the map's
+    domain, and the factor is its kernel's factor of that sample, scaled to
+    match a (for LDU, d by scale)."""
+    rng = np.random.default_rng(29 + n)
+    a = qr_sample(rng, n, 1e6, DEFAULT_TOLERANCES)
+    s = cholesky_sample(rng, n, 1e6, DEFAULT_TOLERANCES)
+    pair, root, trip = qr_factor(a), cholesky_factor(s), ldu_factor(s)
+    return {
+        "qr": (scale * a, QRPair._own(pair.q.copy(), scale * pair.r)),
+        "cholesky": (scale * s, CholeskyFactor._own(np.sqrt(scale) * root.l)),
+        "ldu": (scale * s, LDUTriple._own(trip.l.copy(), scale * trip.d, trip.u.copy())),
+    }
+
+
+class TestCertificates:
+    """The certificates each tracker reads from its accepted factors must
+    prove nothing, and raise no RuntimeWarning (the suite turns one into an
+    error), where a triangle is singular or a norm overflows."""
+
+    CERTIFIED = {"qr": "_qr_certified", "cholesky": "_cholesky_certified", "ldu": "_ldu_certified"}
+
+    @pytest.mark.parametrize("kind", list(CERTIFIED))
+    @pytest.mark.parametrize("n", [3, 40])
+    def test_zero_diagonal(self, kind, n):
+        """A zero on the diagonal of r, l or d: a and its factor are singular."""
+        certified = getattr(newton, self.CERTIFIED[kind])
+        a, fac = factor_cases(n, 1.0)[kind]
+        assert certified(a, fac, DEFAULT_TOLERANCES)
+        parts = [getattr(fac, c).copy() for c in type(fac).__slots__]
+        parts[0 if kind == "cholesky" else 1][n // 2, n // 2] = 0.0
+        singular = type(fac)._own(*parts)
+        assert not certified(singular.product(), singular, DEFAULT_TOLERANCES)
+
+    @pytest.mark.parametrize("kind", list(CERTIFIED))
+    @pytest.mark.parametrize("n", [3, 40])
+    def test_overflowed_norm(self, kind, n):
+        """Entries near 1e200, as in TestDomainThreshold: ||a||_F overflows,
+        and the exact test refuses."""
+        a, fac = factor_cases(n, 1e200)[kind]
+        assert not getattr(newton, self.CERTIFIED[kind])(a, fac, DEFAULT_TOLERANCES)
+
+    @pytest.mark.parametrize("n", [3, 40])
+    def test_qr_reads_the_orthogonality_of_q(self, n):
+        """(q / 2, 2 r) has the product of (q, r), but 1 / ||(2 r)^-1|| is
+        twice sigma_min(a): only q^T q - I shows it, and a below the
+        threshold must stay unproved."""
+        a = qr_sample(np.random.default_rng(31 + n), n, 0.6, DEFAULT_TOLERANCES)
+        pair = qr_factor(a)
+        halved = QRPair._own(0.5 * pair.q, 2.0 * pair.r)
+        assert verdict(_qr_domain, a, DEFAULT_TOLERANCES) == REFUSED["qr"]
+        assert not newton._qr_certified(a, halved, DEFAULT_TOLERANCES)
+
+    def test_inverse_norm_of_a_singular_triangle(self):
+        t = np.tril(np.ones((40, 40)))
+        t[17, 17] = 0.0
+        assert newton._inverse_norm(t) == np.inf
 
 
 def unit_triangle(rng, n, lower, spread=1.0):
@@ -343,3 +417,143 @@ class TestLDUVerdict:
             "a(t) has a numerically zero leading pivot at t=1",
             1.0,
         )
+
+
+# kind: (tracker, planted sample, exact test, the names in newton of the
+# corrector, the kernel and the certificate)
+SPECTRAL = {
+    "qr": (track_qr, qr_sample, _qr_domain, "qr_newton_correct", "qr_factor", "_qr_certified"),
+    "cholesky": (
+        track_cholesky,
+        cholesky_sample,
+        _cholesky_domain,
+        "cholesky_newton_correct",
+        "cholesky_factor",
+        "_cholesky_certified",
+    ),
+}
+# (decades over which the other singular values or eigenvalues spread,
+# structural_tol / singularity_tol), as VARIANTS: well conditioned, ill
+# conditioned, and a corrector tolerance above the domain threshold
+SPECTRAL_VARIANTS = {"well": (0.0, None), "ill": (3.0, None), "loose": (0.0, 100.0)}
+
+
+class TestSpectralVerdict:
+    """track_qr and track_cholesky on paths through one sample whose
+    smallest singular value (QR) or eigenvalue (Cholesky) sits at rel times
+    the exact test's threshold: as a grid sample, as the midpoint of a
+    halved step, or at t=0. The path's other knots share the sample's
+    draws, with that value at 2 and 3 times max(rel, 1) the threshold, so
+    the path stays in the domain except where it passes through the
+    sample, and its steps stay within the corrector's reach, which near
+    the boundary shrinks with the distance to it. The outcome must
+    be the exact test's verdict on that sample: a report, or
+    PathLeavesDomain at its t. The certificate must not prove any factor
+    accepted there, by the corrector or at t=0 by the kernel, when the
+    exact test refuses the sample."""
+
+    @pytest.mark.parametrize("variant", list(SPECTRAL_VARIANTS))
+    @pytest.mark.parametrize("where", ["grid", "midpoint", "start"])
+    @pytest.mark.parametrize("n", [3, 40, 128])
+    @pytest.mark.parametrize("kind", list(SPECTRAL))
+    @pytest.mark.parametrize("rel", LDU_RELS)
+    def test_verdict(self, monkeypatch, kind, n, where, variant, rel):
+        track, sample, domain, corrector, kernel, certificate = SPECTRAL[kind]
+        decades, loose = SPECTRAL_VARIANTS[variant]
+        cfg = WIDE if abs(rel - 1.0) < 1e-3 else DEFAULT_TOLERANCES
+        if loose is not None:
+            cfg = replace(cfg, structural_tol=loose * cfg.singularity_tol)
+        seed = [n, LDU_RELS.index(rel), list(PLACEMENTS).index(where)]
+        seed += [list(SPECTRAL_VARIANTS).index(variant), list(SPECTRAL).index(kind)]
+
+        def drawn(r):  # the sample at another rel, from the same draws
+            return sample(np.random.default_rng(seed), n, r, cfg, decades)
+
+        planted = drawn(rel)
+        clear = max(rel, 1.0, loose or 0.0)
+        samples = {"a0": drawn(2.0 * clear), "planted": planted, "a1": drawn(3.0 * clear)}
+        steps, names, t = PLACEMENTS[where]
+        knots = {s: samples[name] for s, name in zip((0.0, 0.5, 1.0), names) if name}
+        evaluate, seen = recording(through(knots))
+
+        inside = verdict(domain, planted, cfg) is None
+        assert inside == (rel > 1.0)
+        assert all(verdict(domain, m, cfg) is None for m in knots.values() if m is not planted)
+
+        accepted = []  # every factor the kernel or the corrector gave at the planted sample
+        correct, factor = getattr(newton, corrector), getattr(newton, kernel)
+
+        def corrected(a, guess, cfg, max_iters=20):
+            # a midpoint placement: the step to t=1 fails until the tracker
+            # has halved it, so that its midpoint is the planted sample
+            if where == "midpoint" and 0.5 not in seen and np.array_equal(a, samples["a1"]):
+                raise NoConvergence("refused until the step is halved")
+            fac, it = correct(a, guess, cfg, max_iters)
+            if np.array_equal(a, planted):
+                accepted.append(fac)
+            return fac, it
+
+        def seeded(a, cfg):
+            fac = factor(a, cfg)
+            if np.array_equal(a, planted):
+                accepted.append(fac)
+            return fac
+
+        monkeypatch.setattr(newton, corrector, corrected)
+        monkeypatch.setattr(newton, kernel, seeded)
+        try:
+            report = track(PathSpec(evaluate, steps=steps), cfg)
+        except PathLeavesDomain as exc:
+            outcome = (str(exc), exc.t)
+        except NoConvergence:
+            # cholesky_factor clamps a pivot within structural_tol (1 + ||a||)
+            # of zero, so a loose tolerance seeds a(0) inside the domain with
+            # a singular factor, from which no step leaves
+            assert inside and where == "start" and not np.all(np.diagonal(accepted[0].l))
+            outcome = None
+        else:
+            outcome = None
+            assert report.ts == [i / steps for i in range(steps + 1)]
+        refused = REFUSED[kind][1].replace(f"t={T:.6g}", f"t={t:.6g}")
+        assert outcome == (None if inside else (refused, t))
+        if where == "midpoint":
+            assert seen[:3] == [0.0, 1.0, 0.5]
+        certified = getattr(newton, certificate)
+        assert inside or not any(certified(planted, f, cfg) for f in accepted)
+
+
+class TestStartVerdict:
+    """a(0) outside the domain: a kernel refusal, or a factor its
+    certificate does not prove, sends a(0) to the exact test, which names
+    the sample at t=0 as a sample later on the path would be named."""
+
+    @pytest.mark.parametrize(
+        "a0, message",
+        [
+            ([[2.0, 1.0], [0.0, 2.0]], "a(t) not symmetric at t=0"),  # NotSymmetric
+            ([[1.0, 2.0], [2.0, 1.0]], "a(t) not positive definite at t=0"),  # indefinite
+            ([[1.0, 1.0], [1.0, 1.0]], "a(t) not positive definite at t=0"),  # l_22 = 0
+        ],
+    )
+    def test_cholesky(self, a0, message):
+        family = PathSpec(lambda t: np.array(a0) + t * np.eye(2), steps=2)
+        with pytest.raises(PathLeavesDomain) as left:
+            track_cholesky(family)
+        assert (str(left.value), left.value.t) == (message, 0.0)
+
+    @pytest.mark.parametrize("a0", [[[1.0, 2.0], [2.0, 4.0]], [[0.0, 0.0], [0.0, 0.0]]])
+    def test_qr(self, a0):
+        family = PathSpec(lambda t: np.array(a0) + t * np.eye(2), steps=2)
+        with pytest.raises(PathLeavesDomain) as left:
+            track_qr(family)
+        assert (str(left.value), left.value.t) == ("a(t) numerically singular at t=0", 0.0)
+
+    def test_seed_residual_above_tolerance(self, monkeypatch):
+        """A certificate assumes a residual within the corrector's
+        tolerance, so a kernel factor that misses it goes to the exact test,
+        however well conditioned it is."""
+        monkeypatch.setattr(newton, "qr_factor", lambda a, cfg: qr_factor(np.eye(2), cfg))
+        family = PathSpec(lambda t: np.array([[1.0, 2.0], [2.0, 4.0]]) + t * np.eye(2), steps=2)
+        with pytest.raises(PathLeavesDomain) as left:
+            track_qr(family)
+        assert (str(left.value), left.value.t) == ("a(t) numerically singular at t=0", 0.0)
