@@ -22,6 +22,7 @@ to share across threads.
 from __future__ import annotations
 
 import functools
+import math
 import numbers
 import operator
 from dataclasses import dataclass
@@ -63,10 +64,13 @@ class ToleranceConfig:
     singularity_tol: float = 1e-10
 
     def __post_init__(self) -> None:
-        if not (np.isfinite(self.structural_tol) and self.structural_tol >= 0.0):
-            raise ValueError("structural_tol must be finite and non-negative")
-        if not (np.isfinite(self.singularity_tol) and self.singularity_tol > 0.0):
-            raise ValueError("singularity_tol must be finite and positive")
+        for name, positive in (("structural_tol", False), ("singularity_tol", True)):
+            value = getattr(self, name)
+            # bool is an int subclass, so True would otherwise read as 1.0
+            real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+            if not (real and math.isfinite(value) and (value > 0.0 if positive else value >= 0.0)):
+                rule = "positive" if positive else "non-negative"
+                raise ValueError(f"{name} must be a finite {rule} real number, got {value!r}")
 
 
 DEFAULT_TOLERANCES = ToleranceConfig()
@@ -98,15 +102,28 @@ def validate_matrix(a, name: str = "matrix") -> np.ndarray:
     return arr
 
 
-# The one diagonal block width, of frechet.solve_triangular and of
-# factor.ldu_factor's elimination, which apply inverted diagonal blocks of a
-# triangle by matmul. np.linalg.inv is gesv against the identity, which never
-# pivots on an upper triangle with a nonzero diagonal (a lower one is reversed
-# or transposed first), so the inverse is exactly triangular. Applying it is
-# as stable as substitution while the block is well conditioned, and the
-# diagonal blocks of a triangle are no worse conditioned than the triangle
-# (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed., ch. 13).
+# The one diagonal block width, of _upper_inverse, solve_triangular and ldu_factor
 _BLOCK = 32
+
+
+def _upper_inverse(t: np.ndarray) -> np.ndarray:
+    """Inverse of an upper triangle t with a nonzero diagonal (a lower one is
+    reversed or transposed first): np.linalg.inv up to _BLOCK columns, and by
+    halves above, [[a, b], [0, c]]^-1 = [[a^-1, -a^-1 b c^-1], [0, c^-1]].
+    np.linalg.inv is gesv against the identity, whose partial pivoting finds only
+    zeros below each pivot of t: getrf swaps no rows, its multipliers are exactly
+    zero and its U is t, so the inverse is exactly triangular. Applying it is as
+    stable as substitution while t is well conditioned, and the diagonal blocks
+    of a triangle are no worse conditioned than the triangle (Higham, Accuracy
+    and Stability of Numerical Algorithms, 2nd ed., ch. 13 and 14)."""
+    if len(t) <= _BLOCK:
+        return np.linalg.inv(t)
+    h = len(t) // 2
+    inverse = np.zeros(t.shape)
+    a = inverse[:h, :h] = _upper_inverse(t[:h, :h])
+    c = inverse[h:, h:] = _upper_inverse(t[h:, h:])
+    inverse[:h, h:] = -(a @ t[:h, h:]) @ c
+    return inverse
 
 
 def _require_finite(arr: np.ndarray, name: str) -> None:

@@ -15,10 +15,10 @@ Three conventions are fixed here and relied on everywhere else:
   blocks are invertible. The elimination is blocked right-looking, as in
   LAPACK's getrf without the row interchanges, over diagonal blocks of
   _BLOCK columns. The per-pivot rank-1 loop runs only inside a block.
-  The block's panels then take one matmul each against its inverted
-  triangles: l21 = a21 (d11 u11)^-1 and d11 u12 = l11^-1 a12. One more
-  matmul updates the trailing block. core._BLOCK says why inverting the
-  triangles is safe. Up to _BLOCK columns the matrix is one block and the
+  The block's panels then take one matmul each against its triangles,
+  inverted by core._upper_inverse (which says why that is safe):
+  l21 = a21 (d11 u11)^-1 and d11 u12 = l11^-1 a12. One more matmul updates
+  the trailing block. Up to _BLOCK columns the matrix is one block and the
   result is bit for bit that of the unblocked elimination.
 """
 
@@ -36,6 +36,7 @@ from .core import (
     _impose,
     _scaled,
     _symmetric,
+    _upper_inverse,
     validate_matrix,
 )
 from .errors import NotInDomainP, NotPositiveSemiDefinite, NotSymmetric, SingularInput
@@ -186,13 +187,12 @@ def ldu_factor(a, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> LDUTriple:
             col /= p
             work[k + 1:k1, k + 1:k1] -= col[:, None] * work[k, k + 1:k1]
         if k1 < n:
-            # the block now holds l11 below its diagonal and d11 @ u11 on and
-            # above it; np.linalg.inv is gesv against the identity
+            # the block holds l11 below its diagonal, d11 @ u11 on and above it
             block = work[k0:k1, k0:k1]
             du11 = _impose(block.copy(), "upper triangular")
             l11 = _impose(block.copy(), "unit lower triangular")
-            work[k1:, k0:k1] = work[k1:, k0:k1] @ np.linalg.inv(du11)
-            work[k0:k1, k1:] = np.linalg.inv(l11.T).T @ work[k0:k1, k1:]
+            work[k1:, k0:k1] = work[k1:, k0:k1] @ _upper_inverse(du11)
+            work[k0:k1, k1:] = _upper_inverse(l11.T).T @ work[k0:k1, k1:]
             work[k1:, k1:] -= work[k1:, k0:k1] @ work[k0:k1, k1:]
     # LDUTriple._own imposes each factor's part of work in place, so each
     # gets its own array; every pivot cleared thresh >= d's singularity floor

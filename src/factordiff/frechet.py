@@ -15,19 +15,16 @@ triangular or diagonal solve. Every triangular system is lower triangular:
 l x = c, or t^T x^T = c^T for x t = c with t = r, l^T or u. `solve_triangular`
 solves its reversal, an upper system, by block back substitution at every
 size. Each diagonal block of core._BLOCK columns (the whole triangle up to
-32) is inverted once per triangle per derivative solve, by numpy's LAPACK
-gesv against the identity, so numpy's OpenBLAS is the only BLAS the package
-loads; Cholesky's two solves by l share the inverses. On an upper triangle
-with a nonzero diagonal, gesv's partial pivoting finds only zeros below each
-pivot: getrf swaps no rows, its multipliers are exactly zero and its U is the
-block itself, so the inverse is exactly triangular (core._BLOCK says why
-applying it is safe). One matmul applies each inverse after one matmul
-subtracts the part solved. gesv on the whole triangle would run getrf over
-its zero half: ~0.6 ms per solve at n = 128 against ~0.3 ms blocked. gesv on
-each block would still pay getrs: ~90 us for a 32-by-32 block with 128
-right-hand sides, against ~35 us to invert it and ~7 us for the matmul
-(2-vCPU host, default OpenBLAS threads). Each solve routine checks the
-diagonal against the singularity threshold before it solves.
+32) is inverted once per triangle per derivative solve by
+core._upper_inverse, which says why that inverse is exact and safe to
+apply; it runs numpy's LAPACK gesv, so numpy's OpenBLAS is the only BLAS
+the package loads. Cholesky's two solves by l share the inverses. gesv on
+the whole triangle would run getrf over its zero half: ~0.6 ms per solve
+at n = 128 against ~0.3 ms blocked. gesv on each block would still pay
+getrs: ~90 us for a 32-by-32 block with 128 right-hand sides, against ~35
+us to invert it and ~7 us for the matmul (2-vCPU host, default OpenBLAS
+threads). Each solve routine checks the diagonal against the singularity
+threshold before it solves.
 """
 
 from __future__ import annotations
@@ -53,6 +50,7 @@ from .core import (
     _split_lower_diag_upper,
     _split_skew_upper,
     _symmetric,
+    _upper_inverse,
     _validate_matching,
 )
 from .errors import (
@@ -92,26 +90,17 @@ def _inverted_blocks(t):
     solve_triangular(t, c) applies, bottom first."""
     t = t[::-1, ::-1]
     starts = range((len(t) - 1) // _BLOCK * _BLOCK, -1, -_BLOCK)
-    return [(s, np.linalg.inv(t[s:s + _BLOCK, s:s + _BLOCK])) for s in starts]
+    return [(s, _upper_inverse(t[s:s + _BLOCK, s:s + _BLOCK])) for s in starts]
 
 
 def solve_triangular(t, c, inverses=None):
     """x with t @ x = c for lower-triangular t with a nonzero diagonal,
-    solved as t[::-1, ::-1] @ x[::-1] = c[::-1], which is upper triangular,
-    by back substitution over 32-row blocks (one block up to 32 columns):
-    each block's inverse applied by one matmul after one matmul subtracts
-    the rows already solved. inverses, from _inverted_blocks(t), saves
-    inverting the blocks again.
-    """
+    solved as t[::-1, ::-1] @ x[::-1] = c[::-1], which is upper triangular:
+    each 32-row block's inverse, from inverses (by default
+    _inverted_blocks(t)), is applied by one matmul after one matmul
+    subtracts the rows already solved."""
     if inverses is None:
         inverses = _inverted_blocks(t)
-    return _substitute(t, c, inverses)
-
-
-def _substitute(t, c, inverses):
-    """solve_triangular's block back substitution. Derivative solves enter it
-    through solve_triangular, whose traced calls count them; the inversions
-    of newton's sample certificates enter here."""
     t, c = t[::-1, ::-1], c[::-1]
     x = np.empty(c.shape)
     # the bottom block has no rows solved below it; a contiguous copy of its

@@ -41,6 +41,7 @@ from .core import (
     _scaled,
     _singular_d,
     _symmetric,
+    _upper_inverse,
     hs_norm,
     validate_matrix,
 )
@@ -59,8 +60,6 @@ from .errors import (
 )
 from .factor import cholesky_factor, in_domain_p, ldu_factor, qr_factor
 from .frechet import (
-    _inverted_blocks,
-    _substitute,
     cholesky_derivative_apply,
     cholesky_derivative_solve,
     ldu_derivative_apply,
@@ -166,28 +165,22 @@ def retract_orthogonal(m, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> np.ndarr
     raise NoConvergence("polar retraction did not converge")
 
 
-_EPS = float(np.finfo(np.float64).eps)
-
-
 def _roundoff(n: int) -> float:
     # c n eps with room for the error bounds below, LAPACK's p(n) included
-    return 4.0 * (n + 2) * _EPS
+    return 4.0 * (n + 2) * float(np.finfo(np.float64).eps)
 
 
 def _inverse_norm(t: np.ndarray) -> float:
-    """||t^-1||_F of a lower triangle t, inverted by solve_triangular's block
-    substitution against I: inf for a zero on its diagonal, and inf or nan
-    once the inverse overflows."""
-    if not np.all(np.diagonal(t)):
-        return math.inf
-    return hs_norm(_substitute(t, np.eye(len(t)), _inverted_blocks(t)))
+    """||t^-1||_F of an upper triangle t: inf for a zero on its diagonal, and
+    inf or nan once the inverse overflows."""
+    return hs_norm(_upper_inverse(t)) if np.all(np.diagonal(t)) else math.inf
 
 
 # One rule for every tracked sample: a certificate bounds how far a lies from
-# the domain's boundary by the conditioning of the factor accepted there,
-# whose residual is within the corrector's tolerance. Only a factor it does
-# not prove, or a failed step, runs the exact test, whose verdict is final,
-# so every verdict and its t are the exact test's up to first-order rounding.
+# the domain's boundary by the conditioning of the factor accepted there and
+# its residual ||a - product||, as measured. Only a factor it does not prove,
+# or a failed step, runs the exact test, whose verdict is final, so every
+# verdict and its t are the exact test's up to first-order rounding.
 
 
 def _qr_domain(a: np.ndarray, t: float, cfg: ToleranceConfig) -> None:
@@ -209,9 +202,9 @@ def _ldu_domain(a: np.ndarray, t: float, cfg: ToleranceConfig) -> None:
         raise PathLeavesDomain(t, f"a(t) has a numerically zero leading pivot at t={t:.6g}")
 
 
-def _qr_certified(a: np.ndarray, fac: QRPair, cfg: ToleranceConfig) -> bool:
-    """Whether fac, accepted for a under cfg, proves the svd's smallest
-    singular value of a above its threshold.
+def _qr_certified(a: np.ndarray, fac: QRPair, residual: float, cfg: ToleranceConfig) -> bool:
+    """Whether fac, accepted for a with its residual, proves the svd's
+    smallest singular value of a above its threshold.
 
     By Weyl, sigma_min(a) >= sigma_min(q) / ||r^-1||_2 - ||a - q r||_2, and
     sigma_min(q) >= 1 - ||q^T q - I||_2. To first order, _roundoff(n) ||q||
@@ -220,17 +213,18 @@ def _qr_certified(a: np.ndarray, fac: QRPair, cfg: ToleranceConfig) -> bool:
     norms bound the 2-norms, here and in _cholesky_certified.
     """
     q, r = fac.q, fac.r
-    n = len(a)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # an overflow proves nothing
-        floor = (1.0 - hs_norm(q.T @ q - np.eye(n))) / np.float64(_inverse_norm(r.T))
-        rounding = _roundoff(n) * hs_norm(q) * hs_norm(r)
-        gap = floor - _scaled(cfg.structural_tol, a) - rounding
-    return bool(np.isfinite(gap)) and gap > _scaled(cfg.singularity_tol, a)
+        floor = (1.0 - hs_norm(q.T @ q - np.eye(len(a)))) / np.float64(_inverse_norm(r))
+        rounding = _roundoff(len(a)) * hs_norm(q) * hs_norm(r)
+        gap = floor - residual - rounding
+        return bool(np.isfinite(gap)) and gap > _scaled(cfg.singularity_tol, a)
 
 
-def _cholesky_certified(a: np.ndarray, fac: CholeskyFactor, cfg: ToleranceConfig) -> bool:
-    """Whether fac, accepted for a under cfg, proves eigvalsh's smallest
-    eigenvalue of the symmetric part of a above its threshold.
+def _cholesky_certified(
+    a: np.ndarray, fac: CholeskyFactor, residual: float, cfg: ToleranceConfig
+) -> bool:
+    """Whether fac, accepted for a with its residual, proves eigvalsh's
+    smallest eigenvalue of the symmetric part of a above its threshold.
 
     By Weyl, lambda_min(a) >= 1 / ||l^-1||_2^2 - ||a - l l^T||_2 (the
     symmetric part of a has no larger residual). To first order,
@@ -239,14 +233,14 @@ def _cholesky_certified(a: np.ndarray, fac: CholeskyFactor, cfg: ToleranceConfig
     """
     l = fac.l
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # an overflow proves nothing
-        spread, size = np.float64(_inverse_norm(l)), hs_norm(l)
+        spread, size = np.float64(_inverse_norm(l.T)), hs_norm(l)
         rounding = _roundoff(len(a)) * size * size
-        gap = 1.0 / (spread * spread) - _scaled(cfg.structural_tol, a) - rounding
-    return bool(np.isfinite(gap)) and gap > _scaled(cfg.singularity_tol, a)
+        gap = 1.0 / (spread * spread) - residual - rounding
+        return bool(np.isfinite(gap)) and gap > _scaled(cfg.singularity_tol, a)
 
 
-def _ldu_certified(a: np.ndarray, fac: LDUTriple, cfg: ToleranceConfig) -> bool:
-    """Whether fac, accepted for a under cfg, proves every pivot of
+def _ldu_certified(a: np.ndarray, fac: LDUTriple, residual: float, cfg: ToleranceConfig) -> bool:
+    """Whether fac, accepted for a with its residual, proves every pivot of
     ldu_factor's elimination of a above its threshold.
 
     With x = l^-1 (a - l d u) u^-1, a = l (d + x) u, and the leading blocks
@@ -254,8 +248,7 @@ def _ldu_certified(a: np.ndarray, fac: LDUTriple, cfg: ToleranceConfig) -> bool:
     d + x. Pivot k of d + x is d_k + x_kk - x_k,<k (d + x)_<k^-1 x_<k,k, and
     while ||x||_2 <= rho <= min |d| / 2 the last term is at most
     rho^2 / (min |d| - rho) <= rho: each pivot lies within 2 rho of its d_k.
-    The corrector left a residual of at most its tolerance, so
-    rho = ||l^-1|| ||u^-1|| (tolerance + rounding) bounds ||x||. The rounding
+    rho = ||l^-1|| ||u^-1|| (residual + rounding) bounds ||x||. The rounding
     term covers the residual's own rounding and the backward error of the
     elimination, whose pivots are the exact pivots of a nearby matrix: to
     first order the two together stay below _roundoff(n) ||l|| ||d||_2 ||u||
@@ -266,11 +259,11 @@ def _ldu_certified(a: np.ndarray, fac: LDUTriple, cfg: ToleranceConfig) -> bool:
     l, u = fac.l, fac.u
     dmag = np.abs(np.diagonal(fac.d))
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow proves nothing
-        spread = _inverse_norm(l) * _inverse_norm(u.T)
+        spread = _inverse_norm(l.T) * _inverse_norm(u)
         rounding = _roundoff(len(a)) * spread * hs_norm(l) * float(np.max(dmag)) * hs_norm(u)
-        rho = spread * (_scaled(cfg.structural_tol, a) + rounding)
+        rho = spread * (residual + rounding)
         gap = float(np.min(dmag)) - 2.0 * rho
-    return bool(np.isfinite(gap)) and gap > _scaled(cfg.singularity_tol, a)
+        return bool(np.isfinite(gap)) and gap > _scaled(cfg.singularity_tol, a)
 
 
 @dataclass(frozen=True)
@@ -292,7 +285,7 @@ class _FactorMap:
     off_chart: Callable  # (*parts, cfg) -> whether a corrector iterate left the chart
     chart_error: str
     domain: Callable  # (a, t, cfg) -> None, or raises PathLeavesDomain: the exact test
-    certificate: Callable  # (a, accepted container, cfg) -> whether it proves a in the domain
+    certificate: Callable  # (a, container, residual, cfg) -> whether they prove a in the domain
     correct: Callable  # (a, guess, cfg) -> (container, iterations)
 
     def parts(self, fac) -> tuple:
@@ -470,7 +463,7 @@ def _extrapolated(m: _FactorMap, history: list, t: float, cfg: ToleranceConfig):
 
 def _advance(m, path, cfg, history, prev, nxt, depth):
     """The factor at sample nxt = (t, a), reached from prev, the sample of
-    the last factor in history, and its worst iteration count.
+    the last factor in history, its worst iteration count and its residual.
 
     history holds the run's last accepted samples (t, factor), oldest first;
     each accepted sample joins it. Once it holds _HISTORY of them, their
@@ -497,21 +490,23 @@ def _advance(m, path, cfg, history, prev, nxt, depth):
                 corrected, spent = m.correct(a_next, guess, cfg)
             except _STEP_FAILURES:
                 pass
-    if corrected is None or not m.certificate(a_next, corrected, cfg):
-        m.domain(a_next, t_next, cfg)
     if corrected is not None:
+        residual = hs_norm(a_next - corrected.product())
+        if not m.certificate(a_next, corrected, residual, cfg):
+            m.domain(a_next, t_next, cfg)
         history.append((t_next, corrected))
         del history[:-_HISTORY]
-        return corrected, spent
+        return corrected, spent, residual
+    m.domain(a_next, t_next, cfg)
     if depth <= 0:
         raise NoConvergence(
             f"correction failed at t={t_next:.6g} after {_MAX_HALVINGS} step halvings"
         )
     del history[:-1]  # the halved interval starts from its left sample alone
     mid = _sample(path, 0.5 * (t_prev + t_next), a_prev.shape)
-    _, it1 = _advance(m, path, cfg, history, prev, mid, depth - 1)
-    corrected, it2 = _advance(m, path, cfg, history, mid, nxt, depth - 1)
-    return corrected, max(it1, it2)
+    _, it1, _ = _advance(m, path, cfg, history, prev, mid, depth - 1)
+    corrected, it2, residual = _advance(m, path, cfg, history, mid, nxt, depth - 1)
+    return corrected, max(it1, it2), residual
 
 
 def _track(m: _FactorMap, path: PathSpec, cfg: ToleranceConfig) -> TrackReport:
@@ -523,19 +518,18 @@ def _track(m: _FactorMap, path: PathSpec, cfg: ToleranceConfig) -> TrackReport:
     except (NotInDomainP, NotSymmetric, NotPositiveSemiDefinite):
         m.domain(a, ts[0], cfg)
         raise
-    residuals = [hs_norm(a - current.product())]  # the certificate's premise: the stop test
-    if residuals[0] > _scaled(cfg.structural_tol, a) or not m.certificate(a, current, cfg):
+    residuals = [hs_norm(a - current.product())]
+    if not m.certificate(a, current, residuals[0], cfg):
         m.domain(a, ts[0], cfg)
-    factors = [current]
-    iters = [0]
+    factors, iters = [current], [0]
     history = [(ts[0], current)]
     for t in ts[1:]:
         nxt = _sample(path, t, prev[1].shape)
-        current, spent = _advance(m, path, cfg, history, prev, nxt, _MAX_HALVINGS)
-        prev = nxt  # frees the last sample before the residual's temporaries
+        current, spent, residual = _advance(m, path, cfg, history, prev, nxt, _MAX_HALVINGS)
+        prev = nxt
         factors.append(current)
         iters.append(spent)
-        residuals.append(hs_norm(prev[1] - current.product()))
+        residuals.append(residual)
     return TrackReport(
         ts=ts,
         factors=factors,

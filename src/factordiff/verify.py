@@ -283,7 +283,7 @@ def check_ldu_domain_characterization(
         n = int(rng.integers(1, n_max + 1))
         a = _random_square(rng, n)
         dets = leading_minor_dets(a)
-        member = all(abs(dk) > cfg.singularity_tol * (1.0 + hs_norm(a)) for dk in dets)
+        member = bool(np.all(np.abs(dets) > cfg.singularity_tol * (1.0 + hs_norm(a))))
         try:
             fac = ldu_factor(a, cfg)
         except NotInDomainP:

@@ -106,10 +106,15 @@ class TestToleranceConfig:
             {"singularity_tol": -1e-3},
             {"structural_tol": float("nan")},
             {"singularity_tol": float("inf")},
+            # not real numbers, a bool included although it subclasses int
+            {"structural_tol": True, "singularity_tol": True},
+            {"structural_tol": "1e-12"},
+            {"singularity_tol": None},
+            {"structural_tol": 1e-12 + 0j},
         ],
     )
     def test_rejects_bad_fields(self, kwargs):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=next(iter(kwargs))):
             ToleranceConfig(**kwargs)
 
 

@@ -199,6 +199,11 @@ class TestDomainThreshold:
             assert verdict(domain, a, DEFAULT_TOLERANCES) == REFUSED[kind]
 
 
+def measured(a, fac):
+    """The residual the tracker measures for fac at a, which its certificate reads."""
+    return hs_norm(a - fac.product())
+
+
 def factor_cases(n, scale):
     """{map: (a, factor)}: a is scale times a sample well inside the map's
     domain, and the factor is its kernel's factor of that sample, scaled to
@@ -227,19 +232,21 @@ class TestCertificates:
         """A zero on the diagonal of r, l or d: a and its factor are singular."""
         certified = getattr(newton, self.CERTIFIED[kind])
         a, fac = factor_cases(n, 1.0)[kind]
-        assert certified(a, fac, DEFAULT_TOLERANCES)
+        assert certified(a, fac, measured(a, fac), DEFAULT_TOLERANCES)
         parts = [getattr(fac, c).copy() for c in type(fac).__slots__]
         parts[0 if kind == "cholesky" else 1][n // 2, n // 2] = 0.0
         singular = type(fac)._own(*parts)
-        assert not certified(singular.product(), singular, DEFAULT_TOLERANCES)
+        a = singular.product()
+        assert not certified(a, singular, measured(a, singular), DEFAULT_TOLERANCES)
 
     @pytest.mark.parametrize("kind", list(CERTIFIED))
     @pytest.mark.parametrize("n", [3, 40])
     def test_overflowed_norm(self, kind, n):
         """Entries near 1e200, as in TestDomainThreshold: ||a||_F overflows,
-        and the exact test refuses."""
+        and the exact test refuses. The measured residual would overflow
+        too, so the certificate gets none, the most a residual can prove."""
         a, fac = factor_cases(n, 1e200)[kind]
-        assert not getattr(newton, self.CERTIFIED[kind])(a, fac, DEFAULT_TOLERANCES)
+        assert not getattr(newton, self.CERTIFIED[kind])(a, fac, 0.0, DEFAULT_TOLERANCES)
 
     @pytest.mark.parametrize("n", [3, 40])
     def test_qr_reads_the_orthogonality_of_q(self, n):
@@ -250,7 +257,7 @@ class TestCertificates:
         pair = qr_factor(a)
         halved = QRPair._own(0.5 * pair.q, 2.0 * pair.r)
         assert verdict(_qr_domain, a, DEFAULT_TOLERANCES) == REFUSED["qr"]
-        assert not newton._qr_certified(a, halved, DEFAULT_TOLERANCES)
+        assert not newton._qr_certified(a, halved, measured(a, halved), DEFAULT_TOLERANCES)
 
     def test_inverse_norm_of_a_singular_triangle(self):
         t = np.tril(np.ones((40, 40)))
@@ -399,7 +406,9 @@ class TestLDUVerdict:
             assert seen[:3] == [0.0, 1.0, 0.5]
         # the certificate itself, not only the exact test after it, must
         # never prove a sample that in_domain_p refuses
-        assert inside or not any(newton._ldu_certified(planted, f, cfg) for f in corrected)
+        assert inside or not any(
+            newton._ldu_certified(planted, f, measured(planted, f), cfg) for f in corrected
+        )
 
     def test_corrector_tolerance_above_threshold(self):
         # at structural_tol 1e-8 the corrector accepts the predicted d_2 =
@@ -519,7 +528,9 @@ class TestSpectralVerdict:
         if where == "midpoint":
             assert seen[:3] == [0.0, 1.0, 0.5]
         certified = getattr(newton, certificate)
-        assert inside or not any(certified(planted, f, cfg) for f in accepted)
+        assert inside or not any(
+            certified(planted, f, measured(planted, f), cfg) for f in accepted
+        )
 
 
 class TestStartVerdict:
@@ -549,11 +560,51 @@ class TestStartVerdict:
         assert (str(left.value), left.value.t) == ("a(t) numerically singular at t=0", 0.0)
 
     def test_seed_residual_above_tolerance(self, monkeypatch):
-        """A certificate assumes a residual within the corrector's
-        tolerance, so a kernel factor that misses it goes to the exact test,
-        however well conditioned it is."""
+        """A certificate subtracts the factor's measured residual, so a
+        kernel factor far from a(0), here the identity's with ||a - I|| ~ 4.1,
+        proves nothing however well conditioned it is, and a(0) goes to the
+        exact test."""
         monkeypatch.setattr(newton, "qr_factor", lambda a, cfg: qr_factor(np.eye(2), cfg))
         family = PathSpec(lambda t: np.array([[1.0, 2.0], [2.0, 4.0]]) + t * np.eye(2), steps=2)
         with pytest.raises(PathLeavesDomain) as left:
             track_qr(family)
         assert (str(left.value), left.value.t) == ("a(t) numerically singular at t=0", 0.0)
+
+
+class TestSeedCertificate:
+    """A certificate reads the residual the tracker measured, not the
+    corrector's tolerance. With structural_tol at 100 times singularity_tol,
+    a(0) sits 10 thresholds inside the QR or Cholesky domain, or has a pivot
+    at 1e3 times the LDU threshold; the path runs linearly to the same draws
+    at twice that. The kernel's factor of a(0) has a roundoff residual, so
+    its certificate proves a(0) and no exact test runs at t = 0, where
+    subtracting the tolerance would prove nothing."""
+
+    SAMPLES = {
+        "qr": (track_qr, qr_sample, 10.0),
+        "cholesky": (track_cholesky, cholesky_sample, 10.0),
+        "ldu": (
+            track_ldu,
+            lambda rng, n, rel, cfg: ldu_family(rng, n, n // 2, rel, cfg, 1.0)["planted"],
+            1e3,
+        ),
+    }
+
+    @pytest.mark.parametrize("n", [40, 128])
+    @pytest.mark.parametrize("kind", list(SAMPLES))
+    def test_no_exact_test_at_t0(self, monkeypatch, kind, n):
+        track, sample, rel = self.SAMPLES[kind]
+        cfg = replace(DEFAULT_TOLERANCES, structural_tol=100.0 * DEFAULT_TOLERANCES.singularity_tol)
+        seed = [n, list(self.SAMPLES).index(kind)]
+        a0, a1 = (sample(np.random.default_rng(seed), n, r, cfg) for r in (rel, 2.0 * rel))
+        tested = []
+        exact = newton._MAPS[kind].domain
+
+        def domain(a, t, cfg):
+            tested.append(t)
+            exact(a, t, cfg)
+
+        monkeypatch.setitem(newton._MAPS, kind, replace(newton._MAPS[kind], domain=domain))
+        report = track(PathSpec(lambda t: (1.0 - t) * a0 + t * a1, steps=2), cfg)
+        assert report.ts == [0.0, 0.5, 1.0]
+        assert 0.0 not in tested

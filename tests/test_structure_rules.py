@@ -1,9 +1,10 @@
 """Structure is said once and used: core._SHAPES cuts every triangle (through
 core._impose), every triangular solve runs one regime of inverted diagonal
-blocks, and LDU's d and s are applied as diagonals, never as n-by-n
-matrices. The first tests read the code of src/factordiff and fail on a
-second statement of a structure or a second solve regime; the others pin
-the results those forms must keep."""
+blocks, every triangle is inverted by core._upper_inverse, and LDU's d and
+s are applied as diagonals, never as n-by-n matrices. The first tests read
+the code of src/factordiff and fail on a second statement of a structure,
+a second solve regime or a second inversion; the others pin the results
+those forms must keep."""
 
 import ast
 from pathlib import Path
@@ -70,6 +71,24 @@ def test_no_second_structure_vocabulary_or_solve_regime():
 
 def test_d_and_s_are_never_multiplied_as_matrices():
     assert _sites(_dense_diagonal_matmul, STRUCTURED) == []
+
+
+def _inversion(node) -> bool:
+    return isinstance(node, ast.Attribute) and _dotted(node).endswith("linalg.inv")
+
+
+def test_one_triangular_inverse():
+    """np.linalg.inv appears only in core._upper_inverse, whose docstring is
+    the one statement of why its inverse is exactly triangular."""
+    modules = sorted(path.stem for path in SRC.glob("*.py"))
+    core = ast.parse((SRC / "core.py").read_text())
+    routine = [
+        node
+        for node in ast.walk(core)
+        if isinstance(node, ast.FunctionDef) and node.name == "_upper_inverse"
+    ]
+    inside = [("core", node.lineno) for f in routine for node in ast.walk(f) if _inversion(node)]
+    assert _sites(_inversion, modules) == inside != []
 
 
 @pytest.mark.parametrize("n", [1, 2, 31, 32, 33])
