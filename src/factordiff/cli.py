@@ -57,8 +57,8 @@ def _cmd_derivative(args) -> int:
     residual = hs_norm(m.apply(*base, tan, DEFAULT_TOLERANCES) - e)
     _write_components(args.output, args.format, dict(zip(m.tangent_names, m.tangent(tan))))
     with open(f"{args.output}_residual.txt", "w", encoding="utf-8") as fh:
-        fh.write(_FMT.format(residual) + "\n")
-    print(f"residual={_FMT.format(residual)}")
+        fh.write(_FMT % residual + "\n")
+    print(f"residual={_FMT % residual}")
     if residual > 1e-8 * (1.0 + hs_norm(e)):
         print("residual exceeds its bound", file=sys.stderr)
         return EXIT_NUMERICAL
@@ -92,10 +92,10 @@ def _cmd_track(args) -> int:
     for t, fac, iters, residual in zip(
         report.ts, report.factors, report.newton_iters, report.residuals
     ):
-        cells = [_FMT.format(t)]
-        cells += [_FMT.format(hs_norm(p)) for p in m.parts(fac)]
+        cells = [_FMT % t]
+        cells += [_FMT % hs_norm(p) for p in m.parts(fac)]
         cells.append(str(iters))
-        cells.append(_FMT.format(residual))
+        cells.append(_FMT % residual)
         lines.append(",".join(cells))
     with open(args.output, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")

@@ -71,8 +71,8 @@ def qr_factor(a, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> QRPair:
     """
     a = validate_matrix(a, "a")
     q, r = np.linalg.qr(a)
-    neg = np.diag(r) < 0.0
-    if np.any(neg):
+    neg = r.diagonal() < 0.0
+    if neg.any():
         r[neg, :] = -r[neg, :]
         q[:, neg] = -q[:, neg]
     return QRPair._own(q, r)
@@ -141,7 +141,7 @@ def cholesky_factor(a, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> CholeskyFac
     else:
         # every pivot clears the clamp threshold, so the loop below would
         # take the unclamped branch throughout
-        if float(np.min(np.diag(l))) ** 2 > struct:
+        if float(l.diagonal().min()) ** 2 > struct:
             return CholeskyFactor._own(l)
     l = np.zeros((n, n))
     for j in range(n):
@@ -151,7 +151,7 @@ def cholesky_factor(a, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> CholeskyFac
         col = w[j + 1:, j] - l[j + 1:, :j] @ l[j, :j]
         if pivot <= struct:
             # zero pivot: a PSD matrix must have a zero residual column here
-            if col.size and float(np.max(np.abs(col))) > struct:
+            if col.size and float(np.abs(col).max()) > struct:
                 raise NotPositiveSemiDefinite(
                     j + 1, f"k={j + 1}: pivot {j + 1} is zero but the column below it is not"
                 )
@@ -197,7 +197,7 @@ def ldu_factor(a, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> LDUTriple:
     # LDUTriple._own imposes each factor's part of work in place, so each
     # gets its own array; every pivot cleared thresh >= d's singularity floor
     l, d = work.copy(), work.copy()
-    work /= np.diagonal(d)[:, None]
+    work /= d.diagonal()[:, None]
     return LDUTriple._own(l, d, work)
 
 
@@ -225,8 +225,8 @@ def leading_minor_dets(a) -> list[float]:
 def cond_estimate(m) -> float:
     """Cheap conditioning proxy for a triangular or diagonal factor: the
     ratio of extreme diagonal magnitudes (inf when the diagonal has a zero)."""
-    dmag = np.abs(np.diag(validate_matrix(m, "m")))
-    lo = float(np.min(dmag))
+    dmag = np.abs(validate_matrix(m, "m").diagonal())
+    lo = float(dmag.min())
     if lo == 0.0:
         return float("inf")
-    return float(np.max(dmag)) / lo
+    return float(dmag.max()) / lo

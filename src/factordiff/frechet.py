@@ -140,7 +140,7 @@ def qr_derivative_solve(q, r, e, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> Q
     """
     q, r, e = _base(QRPair, q, r, e=e)
     _require_orthogonal(q, cfg)
-    if float(np.min(np.abs(np.diag(r)))) <= _scaled(cfg.singularity_tol, r):
+    if float(np.abs(r.diagonal()).min()) <= _scaled(cfg.singularity_tol, r):
         raise SingularR("r has a diagonal entry below the singularity threshold")
     # q^T u is skew by construction; QRTangent's test could refuse it near its edge
     s, t = _split_skew_upper(solve_triangular(r.T, (q.T @ e).T).T)
@@ -163,7 +163,7 @@ def cholesky_derivative_solve(l, e, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -
     asymmetric e.
     """
     l, e = _base(CholeskyFactor, l, e=e)
-    if float(np.min(np.abs(np.diag(l)))) <= _scaled(cfg.singularity_tol, l):
+    if float(np.abs(l.diagonal()).min()) <= _scaled(cfg.singularity_tol, l):
         raise SingularL("l has a diagonal entry below the singularity threshold")
     if not _symmetric(e, cfg):
         raise NotSymmetric("e is not symmetric within structural tolerance")
@@ -184,8 +184,8 @@ def ldu_derivative_apply(l, d, u, tan: LDUTangent) -> np.ndarray:
     l, d, u = _base(LDUTriple, l, d, u)
     if tan.n != len(l):
         raise ShapeError("tangent dimension does not match the base point")
-    dvec = np.diagonal(d)
-    return (tan.a * dvec) @ u + (l * np.diagonal(tan.s)) @ u + (l * dvec) @ tan.b
+    dvec = d.diagonal()
+    return (tan.a * dvec) @ u + (l * tan.s.diagonal()) @ u + (l * dvec) @ tan.b
 
 
 def ldu_derivative_solve(l, d, u, e, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> LDUTangent:
@@ -195,7 +195,7 @@ def ldu_derivative_solve(l, d, u, e, cfg: ToleranceConfig = DEFAULT_TOLERANCES) 
     singularity floor.
     """
     l, d, u, e = _base(LDUTriple, l, d, u, e=e)
-    dvec = np.diag(d)
+    dvec = d.diagonal()
     if _singular_d(d, cfg):
         raise SingularD("d has a diagonal entry below the singularity threshold")
     y = solve_triangular(l, e)

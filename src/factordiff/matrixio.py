@@ -1,9 +1,11 @@
-"""Matrix file formats: CSV rows and a JSON object form, both written with
-17 significant digits so values round-trip through text exactly.
+"""Matrix file formats: CSV rows and a JSON object form, both of which
+round-trip every float64 through text exactly.
 
-CSV: one matrix row per line, comma-separated decimal floats, dimension
-inferred from the row count. JSON: an object {"n": n, "entries": [...]} with
-the entries flattened row-major. Malformed content raises ValueError.
+CSV: one matrix row per line, comma-separated decimal floats written with 17
+significant digits, dimension inferred from the row count. JSON: an object
+{"n": n, "entries": [...]} with the entries flattened row-major, each written
+as Python's shortest round-trip repr (1/3 is 0.3333333333333333 in JSON and
+0.33333333333333331 in CSV). Malformed content raises ValueError.
 """
 
 from __future__ import annotations
@@ -17,7 +19,8 @@ from .errors import ShapeError
 
 __all__ = ["save_matrix", "load_matrix"]
 
-_FMT = "{:.17g}"
+# the one statement of the 17-significant-digit text format, for a float
+_FMT = "%.17g"
 
 
 def _validated(a, context: str) -> np.ndarray:
@@ -29,8 +32,9 @@ def _validated(a, context: str) -> np.ndarray:
 
 def matrix_to_csv(a) -> str:
     a = _validated(a, "matrix")
-    lines = [",".join(_FMT.format(x) for x in row) for row in a]
-    return "\n".join(lines) + "\n"
+    # one % per row, so only one row's entries are Python floats at a time
+    line = ",".join([_FMT] * len(a)) + "\n"
+    return "".join([line % tuple(row.tolist()) for row in a])
 
 
 def matrix_from_csv(text: str) -> np.ndarray:
@@ -42,7 +46,7 @@ def matrix_from_csv(text: str) -> np.ndarray:
             # float() reads 1_0 as 10, and Arabic-Indic or full-width digits
             if "_" in line or not line.isascii():
                 raise ValueError
-            rows.append([float(tok) for tok in line.split(",")])
+            rows.append(list(map(float, line.split(","))))
         except ValueError:
             raise ValueError(f"line {lineno}: not a comma-separated row of numbers") from None
     if not rows:
@@ -55,7 +59,7 @@ def matrix_from_csv(text: str) -> np.ndarray:
 
 def matrix_to_json(a) -> str:
     a = _validated(a, "matrix")
-    return json.dumps({"n": int(a.shape[0]), "entries": [float(x) for x in a.ravel()]}) + "\n"
+    return json.dumps({"n": int(a.shape[0]), "entries": a.ravel().tolist()}) + "\n"
 
 
 def matrix_from_json(text: str) -> np.ndarray:

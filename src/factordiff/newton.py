@@ -153,7 +153,7 @@ def retract_orthogonal(m, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> np.ndarr
     defect = hs_norm(gram - eye)
     if defect > 0.5:
         eig = np.linalg.eigvalsh(0.5 * (gram + gram.T))
-        if float(np.max(np.abs(eig - 1.0))) > 0.5 + 1e-12:
+        if float(np.abs(eig - 1.0).max()) > 0.5 + 1e-12:
             raise TooFarFromGroup("matrix is not within distance 0.5 of the orthogonal group")
     x = m
     for _ in range(60):
@@ -173,7 +173,7 @@ def _roundoff(n: int) -> float:
 def _inverse_norm(t: np.ndarray) -> float:
     """||t^-1||_F of an upper triangle t: inf for a zero on its diagonal, and
     inf or nan once the inverse overflows."""
-    return hs_norm(_upper_inverse(t)) if np.all(np.diagonal(t)) else math.inf
+    return hs_norm(_upper_inverse(t)) if t.diagonal().all() else math.inf
 
 
 # One rule for every tracked sample: a certificate bounds how far a lies from
@@ -257,12 +257,12 @@ def _ldu_certified(a: np.ndarray, fac: LDUTriple, residual: float, cfg: Toleranc
     bound the 2-norms.
     """
     l, u = fac.l, fac.u
-    dmag = np.abs(np.diagonal(fac.d))
+    dmag = np.abs(fac.d.diagonal())
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow proves nothing
         spread = _inverse_norm(l.T) * _inverse_norm(u)
-        rounding = _roundoff(len(a)) * spread * hs_norm(l) * float(np.max(dmag)) * hs_norm(u)
+        rounding = _roundoff(len(a)) * spread * hs_norm(l) * float(dmag.max()) * hs_norm(u)
         rho = spread * (residual + rounding)
-        gap = float(np.min(dmag)) - 2.0 * rho
+        gap = float(dmag.min()) - 2.0 * rho
         return bool(np.isfinite(gap)) and gap > _scaled(cfg.singularity_tol, a)
 
 
@@ -307,7 +307,7 @@ _MAPS = {
         apply=lambda q, r, tan, cfg: qr_derivative_apply(q, r, tan, cfg),
         tangent=lambda tan: (tan.u, tan.v),
         settle=lambda q, r, cfg: (retract_orthogonal(q, cfg), r),
-        off_chart=lambda q, r, cfg: np.any(np.diag(r) < 0.0),
+        off_chart=lambda q, r, cfg: (r.diagonal() < 0.0).any(),
         chart_error="diagonal of r went negative",
         domain=_qr_domain,
         certificate=_qr_certified,
@@ -323,7 +323,7 @@ _MAPS = {
         apply=lambda l, v, cfg: cholesky_derivative_apply(l, v),
         tangent=lambda v: (v,),
         settle=lambda l, cfg: (l,),
-        off_chart=lambda l, cfg: np.any(np.diag(l) < 0.0),
+        off_chart=lambda l, cfg: (l.diagonal() < 0.0).any(),
         chart_error="diagonal of l went negative",
         domain=_cholesky_domain,
         certificate=_cholesky_certified,
@@ -334,7 +334,7 @@ _MAPS = {
         container=LDUTriple,
         symmetric=False,
         factor=lambda a, cfg: ldu_factor(a, cfg),
-        product=lambda l, d, u: (l * np.diagonal(d)) @ u,
+        product=lambda l, d, u: (l * d.diagonal()) @ u,
         solve=lambda l, d, u, e, cfg: ldu_derivative_solve(l, d, u, e, cfg),
         apply=lambda l, d, u, tan, cfg: ldu_derivative_apply(l, d, u, tan),
         tangent=lambda tan: (tan.a, tan.s, tan.b),

@@ -184,7 +184,7 @@ def check_qr_existence_uniqueness(
         log.observe(hs_norm(pair.product() - a) / (1.0 + hs_norm(a)), cfg.structural_tol)
         log.observe(orthogonality_defect(pair.q) / (1.0 + hs_norm(pair.q)), cfg.structural_tol)
         log.observe(
-            max(0.0, -float(np.min(np.diag(pair.r)))) / (1.0 + hs_norm(pair.r)),
+            max(0.0, -float(pair.r.diagonal().min())) / (1.0 + hs_norm(pair.r)),
             cfg.structural_tol,
         )
         if rank_deficient:
@@ -253,7 +253,7 @@ def check_cholesky_theorem(
         fac = cholesky_factor(a, cfg)
         prod = fac.product()
         log.observe(hs_norm(prod - a) / (1.0 + hs_norm(a)), cfg.structural_tol)
-        log.require(float(np.min(np.diag(fac.l))) > 0.0)
+        log.require(float(fac.l.diagonal().min()) > 0.0)
         refac = cholesky_factor(prod, cfg)
         uniq = hs_norm(refac.l - fac.l)
         log.observe(uniq / ((1.0 + hs_norm(fac.l)) * cond_estimate(fac.l) ** 2), 1e-9)
@@ -283,7 +283,7 @@ def check_ldu_domain_characterization(
         n = int(rng.integers(1, n_max + 1))
         a = _random_square(rng, n)
         dets = leading_minor_dets(a)
-        member = bool(np.all(np.abs(dets) > cfg.singularity_tol * (1.0 + hs_norm(a))))
+        member = bool((np.abs(dets) > cfg.singularity_tol * (1.0 + hs_norm(a))).all())
         try:
             fac = ldu_factor(a, cfg)
         except NotInDomainP:
@@ -294,7 +294,7 @@ def check_ldu_domain_characterization(
         # 1e-10 rather than structural_tol: unpivoted elimination amplifies
         # roundoff by the pivot growth factor on unconstrained random draws
         log.observe(hs_norm(fac.product() - a) / (1.0 + hs_norm(a)), 1e-10)
-        ladder = np.cumprod(np.diag(fac.d))
+        ladder = np.cumprod(fac.d.diagonal())
         for dk, pk in zip(dets, ladder):
             log.observe(abs(dk - pk) / max(abs(dk), abs(pk)), 1e-8)
     boundary = 20
@@ -388,7 +388,7 @@ def check_derivative_isomorphisms(
                 scale += hs_norm(z)
             log.observe(lin / scale, 1e-10)
             t0 = m.tangent(m.solve(*base, np.zeros((n, n)), cfg))
-            log.require(not any(np.any(z) for z in t0))
+            log.require(not any(z.any() for z in t0))
             plus = m.parts(m.factor(a + h * e, cfg))
             minus = m.parts(m.factor(a - h * e, cfg))
             fd = max(hs_norm((p - q) / (2.0 * h) - x) for p, q, x in zip(plus, minus, t1))

@@ -111,6 +111,9 @@ class TestToleranceConfig:
             {"structural_tol": "1e-12"},
             {"singularity_tol": None},
             {"structural_tol": 1e-12 + 0j},
+            # real, but beyond float range
+            {"structural_tol": 10**400},
+            {"structural_tol": -(10**400)},
         ],
     )
     def test_rejects_bad_fields(self, kwargs):

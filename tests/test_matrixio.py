@@ -1,5 +1,10 @@
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from factordiff.matrixio import (
     load_matrix,
@@ -18,6 +23,30 @@ def awkward_matrix():
             [9.87654321e12, 5e-324],  # subnormal included
         ]
     )
+
+
+# finite float64 entries, with signed zeros, subnormals and the largest
+# magnitudes drawn often rather than left to chance
+_ENTRIES = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308,
+                     1.7976931348623157e308, -1.7976931348623157e308, 1.0 / 3.0]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+_MATRICES = st.integers(min_value=1, max_value=12).flatmap(
+    lambda n: arrays(np.float64, (n, n), elements=_ENTRIES)
+)
+
+
+@given(a=_MATRICES)
+def test_writers_keep_the_per_entry_bytes(a):
+    # the per-entry forms that the row-at-a-time writers replace
+    csv = "\n".join(",".join("{:.17g}".format(x) for x in row) for row in a) + "\n"
+    entries = [float(x) for x in a.ravel()]
+    assert matrix_to_csv(a) == csv
+    assert matrix_to_json(a) == json.dumps({"n": len(a), "entries": entries}) + "\n"
+    # bit for bit, so that -0.0 read back as 0.0 would fail
+    assert matrix_from_csv(csv).tobytes() == a.tobytes()
+    assert matrix_from_json(matrix_to_json(a)).tobytes() == a.tobytes()
 
 
 class TestCSV:
