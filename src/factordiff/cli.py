@@ -14,6 +14,7 @@ Exit codes are stable and scriptable:
 from __future__ import annotations
 
 import argparse
+import itertools
 import sys
 
 import numpy as np
@@ -25,7 +26,7 @@ from .errors import (
     NoConvergence,
 )
 from .matrixio import _FMT, load_matrix, save_matrix
-from .newton import _MAPS, PathSpec, _track
+from .newton import _MAPS, PathSpec, _samples
 from .verify import results_to_json, run_all
 
 EXIT_OK = 0
@@ -86,19 +87,13 @@ def _build_path(args) -> PathSpec:
 
 def _cmd_track(args) -> int:
     m = _MAPS[args.kind]
-    report = _track(m, _build_path(args), DEFAULT_TOLERANCES)
-    names = m.container.__slots__
-    lines = ["t," + ",".join(f"norm_{c}" for c in names) + ",newton_iters,residual"]
-    for t, fac, iters, residual in zip(
-        report.ts, report.factors, report.newton_iters, report.residuals
-    ):
-        cells = [_FMT % t]
-        cells += [_FMT % hs_norm(p) for p in m.parts(fac)]
-        cells.append(str(iters))
-        cells.append(_FMT % residual)
-        lines.append(",".join(cells))
+    samples = _samples(m, _build_path(args), DEFAULT_TOLERANCES)
+    first = next(samples)  # a refusal at t = 0 leaves no file, as factor's does
     with open(args.output, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(f"t,{','.join('norm_' + c for c in m.container.__slots__)},newton_iters,residual\n")
+        for t, _, iters, residual, norms in itertools.chain([first], samples):
+            cells = [_FMT % t, *(_FMT % x for x in norms), str(iters), _FMT % residual]
+            fh.write(",".join(cells) + "\n")
     return EXIT_OK
 
 

@@ -509,32 +509,35 @@ def _advance(m, path, cfg, history, prev, nxt, depth):
     return corrected, max(it1, it2), residual
 
 
-def _track(m: _FactorMap, path: PathSpec, cfg: ToleranceConfig) -> TrackReport:
-    ts = [i / path.steps for i in range(path.steps + 1)]
-    prev = _sample(path, ts[0])
-    a = prev[1]
+def _samples(m: _FactorMap, path: PathSpec, cfg: ToleranceConfig):
+    """Yield (t, factor, iterations, residual, component norms) at each t =
+    i / steps once accepted. It holds the history, a(0) and the last sample,
+    so a consumer that drops each record tracks in memory flat in steps."""
+    _, a = prev = _sample(path, 0.0)
     try:  # at t = 0 the kernel is the corrector, and its refusal a failed step
         current = m.factor(a, cfg)
     except (NotInDomainP, NotSymmetric, NotPositiveSemiDefinite):
-        m.domain(a, ts[0], cfg)
+        m.domain(a, 0.0, cfg)
         raise
-    residuals = [hs_norm(a - current.product())]
-    if not m.certificate(a, current, residuals[0], cfg):
-        m.domain(a, ts[0], cfg)
-    factors, iters = [current], [0]
-    history = [(ts[0], current)]
-    for t in ts[1:]:
-        nxt = _sample(path, t, prev[1].shape)
-        current, spent, residual = _advance(m, path, cfg, history, prev, nxt, _MAX_HALVINGS)
-        prev = nxt
-        factors.append(current)
-        iters.append(spent)
-        residuals.append(residual)
+    residual, spent = hs_norm(a - current.product()), 0
+    if not m.certificate(a, current, residual, cfg):
+        m.domain(a, 0.0, cfg)
+    history = [(0.0, current)]
+    for i in range(path.steps + 1):
+        if i:
+            nxt = _sample(path, i / path.steps, a.shape)
+            current, spent, residual = _advance(m, path, cfg, history, prev, nxt, _MAX_HALVINGS)
+            prev = nxt
+        yield prev[0], current, spent, residual, [hs_norm(p) for p in m.parts(current)]
+
+
+def _track(m: _FactorMap, path: PathSpec, cfg: ToleranceConfig) -> TrackReport:
+    ts, factors, iters, residuals, norms = (list(c) for c in zip(*_samples(m, path, cfg)))
     return TrackReport(
         ts=ts,
         factors=factors,
         newton_iters=iters,
-        factor_norms=[float(np.sqrt(sum(hs_norm(p) ** 2 for p in m.parts(f)))) for f in factors],
+        factor_norms=[float(np.sqrt(sum(x**2 for x in n))) for n in norms],
         residuals=residuals,
         max_residual=max(residuals),
     )

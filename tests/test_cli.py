@@ -197,14 +197,30 @@ class TestTrackCommand:
         assert abs(float(last[2]) - hs_norm(r_direct)) <= 1e-8 * (1.0 + hs_norm(r_direct))
 
     def test_singular_midpoint_exit_2(self, tmp_path, capsys):
+        # each row is written as its sample is accepted: the refusal at t=0.5
+        # leaves the header and the rows before it
         start = write(tmp_path, "a0.csv", np.eye(2))
         end = write(tmp_path, "a1.csv", -np.eye(2))
+        out = tmp_path / "t.csv"
         code = main([
-            "track", "--kind", "qr", "--input", start, end,
-            "--output", str(tmp_path / "t.csv"),
+            "track", "--kind", "qr", "--input", start, end, "--steps", "4",
+            "--output", str(out),
         ])
         assert code == 2
         assert "t=0.5" in capsys.readouterr().err
+        lines = out.read_text().splitlines()
+        assert lines[0] == "t,norm_q,norm_r,newton_iters,residual"
+        assert [float(line.split(",")[0]) for line in lines[1:]] == [0.0, 0.25]
+
+    @pytest.mark.parametrize("kind", ["qr", "cholesky", "ldu"])
+    def test_refusal_at_start_leaves_no_file(self, tmp_path, capsys, kind):
+        start = write(tmp_path, "zero.csv", np.zeros((3, 3)))
+        end = write(tmp_path, "eye.csv", np.eye(3))
+        out = tmp_path / "t.csv"
+        code = main(["track", "--kind", kind, "--input", start, end, "--output", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err.endswith(" at t=0\n")
+        assert not out.exists()
 
     def test_custom_samples_family(self, tmp_path):
         s0 = write(tmp_path, "s0.csv", np.eye(2))

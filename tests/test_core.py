@@ -15,6 +15,7 @@ from factordiff import (
     SingularD,
     ToleranceConfig,
     hs_norm,
+    qr_derivative_solve,
     qr_factor,
     split_lower_diag_upper,
     split_skew_upper,
@@ -73,6 +74,19 @@ class TestValidateMatrix:
             validate_matrix(bad, "m")
         with pytest.raises(ShapeError, match=f"^a is not convertible to a float matrix: {reason}"):
             qr_factor(bad)
+
+    @pytest.mark.parametrize(
+        "build, names",
+        [
+            (lambda: QRPair(np.eye(2), np.eye(3)), "q and r"),
+            (lambda: qr_derivative_solve(np.eye(2), np.eye(3), np.eye(2)), "q, r, e"),
+        ],
+        ids=["two-inputs", "three-inputs"],
+    )
+    def test_refuses_mismatched_shapes(self, build, names):
+        # each input is a valid square matrix on its own
+        with pytest.raises(ShapeError, match=f"^{names} must have matching shapes$"):
+            build()
 
     def test_object_array_of_reals_converts(self):
         # numbers held as objects, a Python int beyond int64 among them

@@ -1,8 +1,11 @@
+import weakref
+
 import numpy as np
 import pytest
 from conftest import random_square, recording
 
 from factordiff import (
+    DEFAULT_TOLERANCES,
     CholeskyFactor,
     ConvergedOutsideChart,
     LDUTriple,
@@ -514,3 +517,21 @@ def test_tracking_across_the_block_edge_matches_the_kernels(n):
             bound = 1e-8 * (1.0 + hs_norm(a_t))
             for name in fac.__slots__:
                 assert hs_norm(getattr(fac, name) - getattr(oracle, name)) <= bound
+
+
+@pytest.mark.parametrize("kind", ["qr", "cholesky", "ldu"])
+def test_sample_stream_holds_at_most_the_history(kind):
+    # a consumer that drops each record keeps a yielded factor alive only
+    # while the predictor's history holds it, so memory is flat in steps
+    g = np.random.default_rng(8).standard_normal((8, 8))
+    end = g @ g.T + np.eye(8) if kind == "cholesky" else g / np.sqrt(8) + 3.0 * np.eye(8)
+    path = PathSpec(lambda t: (1.0 - t) * np.eye(8) + t * end, steps=64)
+    m = newton._MAPS[kind]
+    refs, alive = [], []
+    for record in newton._samples(m, path, DEFAULT_TOLERANCES):
+        refs.append(weakref.ref(m.parts(record[1])[0]))
+        del record
+        alive.append(sum(ref() is not None for ref in refs))
+    assert len(refs) == 65
+    assert max(alive) <= newton._HISTORY
+    assert all(ref() is None for ref in refs)

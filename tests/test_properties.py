@@ -21,6 +21,7 @@ from reference_kernels import cond_f, factor_tol
 from factordiff import (
     NoConvergence,
     NotInDomainP,
+    NotPositiveSemiDefinite,
     PathLeavesDomain,
     PathSpec,
     SingularR,
@@ -78,6 +79,13 @@ def test_qr_orthogonal_equivariance(n, seed):
 def test_cholesky_of_a_tiny_identity_is_its_root():
     l = cholesky_factor(1e-13 * np.eye(3)).l
     assert hs_norm(l - np.sqrt(1e-13) * np.eye(3)) <= 1e-15 * np.sqrt(1e-13)
+
+
+@pytest.mark.xfail(strict=True, raises=pytest.fail.Exception, reason="both pivots clamp to 0: l = 0")
+def test_cholesky_refuses_a_tiny_indefinite_matrix():
+    # eigenvalues -1e-13 and 3e-13; refused at 1e-12 and above
+    with pytest.raises(NotPositiveSemiDefinite):
+        cholesky_factor(1e-13 * np.array([[1.0, 2.0], [2.0, 1.0]]))
 
 
 @pytest.mark.xfail(strict=True, raises=NotInDomainP, reason="the first pivot reads as zero")
