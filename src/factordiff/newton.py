@@ -14,12 +14,12 @@ the change in the input, runs for the first two steps of a run and of each
 halved interval, and whenever the extrapolated guess or its correction
 fails. When that fails too, the step halves (up to four times per interval).
 
-The three maps differ only in their pieces (components, kernel, product,
-derivative solve and apply, settling onto the manifold, chart and domain
-tests), which one private table holds per map; one step (solve, then move
-and settle, for a prediction and a Newton correction alike), one corrector
-and one tracker run from it, and so do the CLI and the derivative check in
-verify.
+The three maps differ only in their pieces (container, whose product() is
+the map, kernel, derivative solve and apply, settling onto the manifold,
+chart and domain tests), which one private table holds per map; one step
+(solve, then move, settle and build the container, for a prediction and a
+Newton correction alike), one corrector and one tracker run from it, and so
+do the CLI and the derivative check in verify.
 """
 
 from __future__ import annotations
@@ -269,15 +269,14 @@ def _ldu_certified(a: np.ndarray, fac: LDUTriple, residual: float, cfg: Toleranc
 @dataclass(frozen=True)
 class _FactorMap:
     """One factorization map, as the corrector, the tracker, the CLI and the
-    derivative check use it. Functions take the factor components as
-    separate arrays, in the order of the container's __slots__ (tangents in
-    tangent_names)."""
+    derivative check use it. The map itself is the container's product().
+    Functions take the factor components as separate arrays, in the order of
+    the container's __slots__ (tangents in tangent_names)."""
 
     tangent_names: Tuple[str, ...]
     container: type
     symmetric: bool  # products are symmetric: inputs must be, and are symmetrized with residuals
     factor: Callable  # (a, cfg) -> container
-    product: Callable  # (*parts) -> matrix
     solve: Callable  # (*parts, e, cfg) -> tangent
     apply: Callable  # (*parts, tangent, cfg) -> matrix
     tangent: Callable  # tangent -> its components, in tangent_names order
@@ -302,7 +301,6 @@ _MAPS = {
         container=QRPair,
         symmetric=False,
         factor=lambda a, cfg: qr_factor(a, cfg),
-        product=lambda q, r: q @ r,
         solve=lambda q, r, e, cfg: qr_derivative_solve(q, r, e, cfg),
         apply=lambda q, r, tan, cfg: qr_derivative_apply(q, r, tan, cfg),
         tangent=lambda tan: (tan.u, tan.v),
@@ -318,7 +316,6 @@ _MAPS = {
         container=CholeskyFactor,
         symmetric=True,
         factor=lambda a, cfg: cholesky_factor(a, cfg),
-        product=lambda l: l @ l.T,
         solve=lambda l, e, cfg: cholesky_derivative_solve(l, e, cfg),
         apply=lambda l, v, cfg: cholesky_derivative_apply(l, v),
         tangent=lambda v: (v,),
@@ -334,7 +331,6 @@ _MAPS = {
         container=LDUTriple,
         symmetric=False,
         factor=lambda a, cfg: ldu_factor(a, cfg),
-        product=lambda l, d, u: (l * d.diagonal()) @ u,
         solve=lambda l, d, u, e, cfg: ldu_derivative_solve(l, d, u, e, cfg),
         apply=lambda l, d, u, tan, cfg: ldu_derivative_apply(l, d, u, tan),
         tangent=lambda tan: (tan.a, tan.s, tan.b),
@@ -348,25 +344,27 @@ _MAPS = {
 }
 
 
-def _step(m: _FactorMap, parts: tuple, e: np.ndarray, cfg: ToleranceConfig):
+def _step(m: _FactorMap, fac, e: np.ndarray, cfg: ToleranceConfig):
     """One step of a prediction or a Newton correction: solve the derivative
-    equation for e at parts, move the parts along the tangent, and refuse an
-    iterate that left the chart. Returns the tangent and the new parts."""
+    equation for e at fac, move its parts along the tangent, and refuse an
+    iterate that left the chart. Returns the tangent and the new container."""
     if m.symmetric:  # roundoff breaks the exact symmetry the solve requires
         e = 0.5 * (e + e.T)
+    parts = m.parts(fac)
     tan = m.solve(*parts, e, cfg)
     return tan, _vetted(m, (p + c for p, c in zip(parts, m.tangent(tan))), cfg)
 
 
-def _vetted(m: _FactorMap, parts, cfg: ToleranceConfig) -> tuple:
-    """parts settled back on the factor manifold, or ConvergedOutsideChart
-    when they left the chart. The chart test is the container's numeric
-    test or a stricter one, and retract_orthogonal's last Gram test is
-    QRPair's, bit for bit, so the parts may go to _own."""
+def _vetted(m: _FactorMap, parts, cfg: ToleranceConfig):
+    """The container of parts settled back on the factor manifold, or
+    ConvergedOutsideChart when they left the chart; the one place a Newton
+    iterate or a prediction is built. The chart test is the container's
+    numeric test or a stricter one, and retract_orthogonal's last Gram test
+    is QRPair's, bit for bit, so the parts may go to _own."""
     parts = m.settle(*parts, cfg)
     if m.off_chart(*parts, cfg):
         raise ConvergedOutsideChart(m.chart_error)
-    return parts
+    return m.container._own(*parts)
 
 
 def _correct(m: _FactorMap, a, guess, cfg: ToleranceConfig, max_iters: int):
@@ -379,18 +377,16 @@ def _correct(m: _FactorMap, a, guess, cfg: ToleranceConfig, max_iters: int):
         a = 0.5 * (a + a.T)
     if guess.n != len(a):
         raise ShapeError(f"guess has dimension {guess.n}, but a has dimension {len(a)}")
-    parts = m.parts(guess)
-    tol = _scaled(cfg.structural_tol, a)
+    fac, tol = guess, _scaled(cfg.structural_tol, a)
     for it in range(max_iters + 1):
-        residual = a - m.product(*parts)
+        residual = a - fac.product()
         if hs_norm(residual) <= tol:
-            # parts are _step's, _vetted ones, or the guess's own
-            return (m.container._own(*parts) if it else m.container(*parts, cfg)), it
+            return fac, it  # at zero steps, the caller's own guess
         if it == max_iters:
             break
         # tan stays bound until the next solve: freeing it within each step let
         # malloc trim and re-fault the heap, ~40% more page faults at n=128
-        tan, parts = _step(m, parts, residual, cfg)
+        tan, fac = _step(m, fac, residual, cfg)
     raise NoConvergence(f"residual above tolerance after {max_iters} iterations")
 
 
@@ -405,8 +401,9 @@ def qr_newton_correct(
 
     Each step solves the derivative equation for the residual a - q @ r,
     retracts q + u onto the orthogonal group, and adds v to r. Returns the
-    corrected pair and the number of steps taken; a guess already within
-    tolerance comes back unchanged with zero steps.
+    corrected pair and the number of steps taken. A guess already within
+    tolerance comes back itself, the caller's object, with zero steps: its
+    numeric tests ran when the caller built it, under the caller's config.
 
     Raises TypeError unless guess is a QRPair (each corrector requires its
     own map's container), ValueError unless max_iters is a non-negative
@@ -428,7 +425,8 @@ def cholesky_newton_correct(
 
     The residual is symmetrized before each solve, since roundoff breaks the
     exact symmetry the solver requires. Raises NotSymmetric when a is not
-    symmetric within structural tolerance.
+    symmetric within structural tolerance. As for qr_newton_correct, a guess
+    already within tolerance comes back itself with zero steps.
     """
     return _correct(_MAPS["cholesky"], a, guess, cfg, max_iters)
 
@@ -440,7 +438,8 @@ def ldu_newton_correct(
     max_iters: int = 20,
 ):
     """Newton-correct an approximate unit-lower/diagonal/unit-upper triple
-    toward the factorization of a."""
+    toward the factorization of a. As for qr_newton_correct, a guess already
+    within tolerance comes back itself with zero steps."""
     return _correct(_MAPS["ldu"], a, guess, cfg, max_iters)
 
 
@@ -452,9 +451,9 @@ def _sample(path: PathSpec, t: float, shape=None) -> tuple:
 
 
 def _extrapolated(m: _FactorMap, history: list, t: float, cfg: ToleranceConfig):
-    """The parts of the guess at t from the accepted samples (t_i, factor_i)
-    in history: the Lagrange polynomial through them, taken per component,
-    settled and vetted as a step's iterate is."""
+    """The guess at t from the accepted samples (t_i, factor_i) in history:
+    the Lagrange polynomial through them, taken per component, settled and
+    vetted as a step's iterate is."""
     knots = [s for s, _ in history]
     weights = [math.prod((t - s) / (k - s) for s in knots if s != k) for k in knots]
     columns = zip(*(m.parts(fac) for _, fac in history))
@@ -478,15 +477,14 @@ def _advance(m, path, cfg, history, prev, nxt, depth):
     with np.errstate(over="ignore", invalid="ignore"):
         if len(history) == _HISTORY:
             try:
-                guess = m.container._own(*_extrapolated(m, history, t_next, cfg))
+                guess = _extrapolated(m, history, t_next, cfg)
                 corrected, spent = m.correct(a_next, guess, cfg)
             except _STEP_FAILURES:
                 pass
         if corrected is None:
             try:
                 # tan stays bound through the correction, as the corrector's does
-                tan, guess = _step(m, m.parts(history[-1][1]), a_next - a_prev, cfg)
-                guess = m.container._own(*guess)
+                tan, guess = _step(m, history[-1][1], a_next - a_prev, cfg)
                 corrected, spent = m.correct(a_next, guess, cfg)
             except _STEP_FAILURES:
                 pass

@@ -154,6 +154,23 @@ class TestDerivativeCommand:
             assert code == 0
             assert float((tmp_path / "d_residual.txt").read_text()) == 0.0
 
+    def test_residual_over_its_bound_exit_3(self, tmp_path, capsys):
+        # l's entry 3e4 makes the LDU solve lose digits; at 1e5 the input is
+        # refused instead (exit 2)
+        l = np.array([[1.0, 0.0], [3e4, 1.0]])
+        inp = write(tmp_path, "a.csv", l @ l.T)
+        pert = write(tmp_path, "e.csv", np.random.default_rng(1).standard_normal((2, 2)))
+        out = str(tmp_path / "d")
+        code = main([
+            "derivative", "--kind", "ldu", "--input", inp,
+            "--perturbation", pert, "--output", out,
+        ])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert "residual exceeds its bound" in captured.err
+        assert "residual=8.0858969078815373e-08" in captured.out
+        assert float((tmp_path / "d_residual.txt").read_text()) == 8.0858969078815373e-08
+
     def test_outside_domain_exit_2(self, tmp_path):
         inp = write(tmp_path, "a.csv", [[0.0, 1.0], [1.0, 0.0]])
         pert = write(tmp_path, "e.csv", np.eye(2))

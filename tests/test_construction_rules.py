@@ -1,9 +1,10 @@
 """Every factor and tangent the package computes is built as computed,
 through the private _Container._own, with no copy and no repeated numeric
-test. The checking constructors run only on arrays a caller passes
-(newton._correct's zero-step exit returns the caller's own guess) and in the
-oracle qr_factor_mgs, which keeps them so that it stays independent of the
-kernels it checks."""
+test; every Newton iterate and prediction is built in newton._vetted. The
+checking constructors run only on arrays a caller passes (a corrector's
+zero-step exit returns the caller's own guess, checked when the caller built
+it) and in the oracle qr_factor_mgs, which keeps them so that it stays
+independent of the kernels it checks."""
 
 import ast
 from pathlib import Path
@@ -44,7 +45,7 @@ def _constructions():
 
 def test_checking_constructors_run_only_on_callers_arrays():
     checked = {site[1:] for site in _constructions() if site[0] == "checked"}
-    assert checked == {("factor", "qr_factor_mgs"), ("newton", "_correct")}
+    assert checked == {("factor", "qr_factor_mgs")}
 
 
 def test_computed_results_are_built_as_computed():
@@ -55,8 +56,7 @@ def test_computed_results_are_built_as_computed():
         ("factor", "ldu_factor"),
         ("frechet", "qr_derivative_solve"),
         ("frechet", "ldu_derivative_solve"),
-        ("newton", "_correct"),
-        ("newton", "_advance"),
+        ("newton", "_vetted"),
     }
 
 

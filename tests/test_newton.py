@@ -2,7 +2,7 @@ import weakref
 
 import numpy as np
 import pytest
-from conftest import random_square, recording
+from conftest import random_diag_shifted, random_spd, random_square, recording
 
 from factordiff import (
     DEFAULT_TOLERANCES,
@@ -16,6 +16,7 @@ from factordiff import (
     QRPair,
     ShapeError,
     SingularR,
+    ToleranceConfig,
     TooFarFromGroup,
     cholesky_factor,
     cholesky_newton_correct,
@@ -59,6 +60,13 @@ class TestRetractOrthogonal:
     def test_too_far(self):
         with pytest.raises(TooFarFromGroup):
             retract_orthogonal(2.0 * np.eye(3))
+
+    def test_no_convergence_within_sixty_iterations(self):
+        # a zero structural_tol asks for an exactly orthogonal iterate, which
+        # roundoff never reaches
+        m = np.eye(4) + 0.05 * np.random.default_rng(0).standard_normal((4, 4))
+        with pytest.raises(NoConvergence, match="polar retraction did not converge"):
+            retract_orthogonal(m, ToleranceConfig(structural_tol=0.0))
 
 
 class TestQRNewtonCorrect:
@@ -492,6 +500,24 @@ def test_corrector_rejects_a_guess_of_another_dimension(correct, a, factor, n_gu
     guess = factor(a[:n_guess, :n_guess] + np.eye(n_guess))
     with pytest.raises(ShapeError, match=f"guess has dimension {n_guess}, but a has dimension 3"):
         correct(a, guess)
+
+
+@pytest.mark.parametrize(
+    "correct, factor, make",
+    [
+        (qr_newton_correct, qr_factor, random_square),
+        (cholesky_newton_correct, cholesky_factor, random_spd),
+        (ldu_newton_correct, ldu_factor, random_diag_shifted),
+    ],
+)
+def test_zero_step_correction_returns_the_guess(correct, factor, make):
+    # the guess's numeric tests ran when the caller built it; a re-checked
+    # copy under the corrector's config would repeat them
+    a = make(np.random.default_rng(11), 6)
+    guess = factor(a)
+    corrected, iters = correct(a, guess)
+    assert corrected is guess
+    assert iters == 0
 
 
 @pytest.mark.parametrize("n", [33, 64])

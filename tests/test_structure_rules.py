@@ -15,7 +15,6 @@ from conftest import random_diag_shifted, random_square
 
 from factordiff import LDUTangent, ldu_derivative_apply, ldu_factor
 from factordiff.frechet import _inverted_blocks
-from factordiff.newton import _MAPS
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "factordiff"
 # the modules that form, solve and multiply structured factors
@@ -110,7 +109,6 @@ def test_ldu_product_and_apply_equal_the_dense_forms(n):
     fac = ldu_factor(random_diag_shifted(rng, n))
     l, d, u = fac.l, fac.d, fac.u
     assert np.array_equal(fac.product(), l @ d @ u)
-    assert np.array_equal(_MAPS["ldu"].product(l, d, u), l @ d @ u)
     tan = LDUTangent(*(random_square(rng, n) for _ in range(3)))
     dense = tan.a @ d @ u + l @ tan.s @ u + l @ d @ tan.b
     assert np.array_equal(ldu_derivative_apply(l, d, u, tan), dense)

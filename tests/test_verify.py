@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from factordiff import (
+    DEFAULT_TOLERANCES,
+    NotInDomainP,
     check_cholesky_theorem,
     check_derivative_isomorphisms,
     check_ldu_domain_characterization,
@@ -14,6 +16,7 @@ from factordiff import (
     results_to_json,
     run_all,
 )
+from factordiff import verify
 
 
 class TestIndividualChecks:
@@ -114,6 +117,20 @@ class TestCheckArguments:
         assert not res.passed
         assert res.trials == 2
         assert res.worst_violation == 2.0 * 1e-6
+
+    def test_ldu_domain_check_fails_for_a_kernel_that_factors_outside_p(self, monkeypatch):
+        # this kernel answers each refused input with the identity's factors,
+        # so every constructed boundary case factors, which the check reports
+        def total(a, cfg=DEFAULT_TOLERANCES):
+            try:
+                return ldu_factor(a, cfg)
+            except NotInDomainP:
+                return ldu_factor(np.eye(len(a)))
+
+        monkeypatch.setattr(verify, "ldu_factor", total)
+        res = check_ldu_domain_characterization(trials=5, n_max=6, seed=1)
+        assert not res.passed
+        assert res.worst_violation == 2e-08
 
     @pytest.mark.parametrize(
         "check, least",
