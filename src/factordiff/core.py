@@ -16,7 +16,11 @@ independent of this code.
 
 All values are immutable after construction (stored arrays are marked
 read-only) and all operations are pure functions, so everything here is safe
-to share across threads.
+to share across threads. The one exception is a container's private
+_inverses slot: a factor's prepared base, the inverses of its triangles,
+which frechet forms on first use and then holds. Two threads may both fill
+it; they compute equal inverses from the same frozen factors, so either may
+stay.
 """
 
 from __future__ import annotations
@@ -106,7 +110,7 @@ def validate_matrix(a, name: str = "matrix") -> np.ndarray:
     return arr
 
 
-# The one diagonal block width, of _upper_inverse, solve_triangular and ldu_factor
+# The one diagonal block width, of _upper_inverse and ldu_factor
 _BLOCK = 32
 
 
@@ -314,9 +318,11 @@ class _Container:
     validates the inputs together, imposes each slot's structure in place on
     the one copy validation made, and freezes it, so the subclasses'
     __init__ keep only numeric checks.
-    n is the dimension of the first slot, and the repr is Name(n=...)."""
+    n is the dimension of the first slot, and the repr is Name(n=...).
+    _inverses holds a factor's prepared base (frechet's _held), None until
+    it is formed; subclasses name only their parts in __slots__."""
 
-    __slots__ = ()
+    __slots__ = ("_inverses",)
     _shapes: tuple = ()
 
     def _store(self, *parts) -> None:
@@ -325,6 +331,7 @@ class _Container:
     def _fill(self, parts) -> None:
         for name, shape, m in zip(self.__slots__, self._shapes, parts):
             setattr(self, name, _freeze(_impose(m, shape)))
+        self._inverses = None
 
     @classmethod
     def _own(cls, *parts):

@@ -10,21 +10,27 @@ solve routines invert it by reducing to a structural split:
 * LDU:       m = l^-1 e u^-1 splits into strictly-lower + diagonal +
              strictly-upper parts, rescaled by d on the outer factors.
 
-No whole factor is ever inverted; every r^-1, l^-1, u^-1, d^-1 is a
-triangular or diagonal solve. Every triangular system is lower triangular:
-l x = c, or t^T x^T = c^T for x t = c with t = r, l^T or u. `solve_triangular`
-solves its reversal, an upper system, by block back substitution at every
-size. Each diagonal block of core._BLOCK columns (the whole triangle up to
-32) is inverted once per triangle per derivative solve by
-core._upper_inverse, which says why that inverse is exact and safe to
-apply; it runs numpy's LAPACK gesv, so numpy's OpenBLAS is the only BLAS
-the package loads. Cholesky's two solves by l share the inverses. gesv on
-the whole triangle would run getrf over its zero half: ~0.6 ms per solve
-at n = 128 against ~0.3 ms blocked. gesv on each block would still pay
-getrs: ~90 us for a 32-by-32 block with 128 right-hand sides, against ~35
-us to invert it and ~7 us for the matmul (2-vCPU host, default OpenBLAS
-threads). Each solve routine checks the diagonal against the singularity
-threshold before it solves.
+No whole factor is ever inverted; every r^-1, l^-1, u^-1, d^-1 is the
+inverse of one triangle or of a diagonal. Each map's derivative inverse
+has two private halves:
+
+* prepare (fac, cfg) tests the diagonal of fac against the singularity
+  threshold under cfg, on every call, then returns fac's prepared base: the
+  inverse of each of its triangles (r; l; l and u), formed once per factor
+  container by core._upper_inverse and held in its _inverses slot (_held).
+  The slot holds only the inverses, which depend on no cfg;
+* apply (fac, inverses, e) returns the tangent DF(fac)^-1 e by matmuls
+  against them.
+
+Every public solve is validate, prepare, apply, so DF^-1 is applied in one
+way only; the Newton corrector (newton._correct) prepares once at its base
+and applies without validating its own iterates again. Every triangular
+system is lower triangular: l x = c, or t^T x^T = c^T for x t = c with
+t = r, l^T or u. `solve_triangular` solves its reversal, an upper system, by
+one matmul with the reversal's inverse: the one place a prepared inverse is
+applied. core._upper_inverse says why that inverse is exact and safe to
+apply; it runs numpy's LAPACK gesv, so numpy's OpenBLAS is the only BLAS the
+package loads. Cholesky's two solves by l apply the same inverse.
 """
 
 from __future__ import annotations
@@ -32,7 +38,6 @@ from __future__ import annotations
 import numpy as np
 
 from .core import (
-    _BLOCK,
     DEFAULT_TOLERANCES,
     CholeskyFactor,
     LDUTangent,
@@ -85,32 +90,23 @@ def _base(container, *parts, **rest) -> tuple:
     return out
 
 
-def _inverted_blocks(t):
-    """(start, inverse) of each 32-row diagonal block of t[::-1, ::-1] that
-    solve_triangular(t, c) applies, bottom first."""
-    t = t[::-1, ::-1]
-    starts = range((len(t) - 1) // _BLOCK * _BLOCK, -1, -_BLOCK)
-    return [(s, _upper_inverse(t[s:s + _BLOCK, s:s + _BLOCK])) for s in starts]
-
-
-def solve_triangular(t, c, inverses=None):
+def solve_triangular(t, c, inverse=None):
     """x with t @ x = c for lower-triangular t with a nonzero diagonal,
     solved as t[::-1, ::-1] @ x[::-1] = c[::-1], which is upper triangular:
-    each 32-row block's inverse, from inverses (by default
-    _inverted_blocks(t)), is applied by one matmul after one matmul
-    subtracts the rows already solved."""
-    if inverses is None:
-        inverses = _inverted_blocks(t)
-    t, c = t[::-1, ::-1], c[::-1]
-    x = np.empty(c.shape)
-    # the bottom block has no rows solved below it; a contiguous copy of its
-    # part of c keeps the bits the subtraction of nothing gave
-    (s, inverse), *above = inverses
-    x[s:] = inverse @ np.ascontiguousarray(c[s:])
-    for s, inverse in above:
-        e = s + _BLOCK
-        x[s:e] = inverse @ (c[s:e] - t[s:e, e:] @ x[e:])
-    return x[::-1]
+    one matmul by inverse, the reversal's inverse (by default formed here by
+    core._upper_inverse), applied to a contiguous copy of c reversed."""
+    if inverse is None:
+        inverse = _upper_inverse(t[::-1, ::-1])
+    return (inverse @ np.ascontiguousarray(c[::-1]))[::-1]
+
+
+def _held(fac, *lower) -> tuple:
+    """fac's prepared base: the inverse of the reversal of each lower
+    triangle, as solve_triangular applies it, formed on first use and then
+    held in fac's _inverses slot."""
+    if fac._inverses is None:
+        fac._inverses = tuple(_upper_inverse(t[::-1, ::-1]) for t in lower)
+    return fac._inverses
 
 
 def qr_derivative_apply(
@@ -129,6 +125,20 @@ def qr_derivative_apply(
     return tan.u @ r + q @ tan.v
 
 
+def _qr_prepare(fac: QRPair, cfg: ToleranceConfig) -> tuple:
+    r = fac.r
+    if float(np.abs(r.diagonal()).min()) <= _scaled(cfg.singularity_tol, r):
+        raise SingularR("r has a diagonal entry below the singularity threshold")
+    return _held(fac, r.T)
+
+
+def _qr_apply(fac: QRPair, inverses: tuple, e: np.ndarray) -> QRTangent:
+    q, r = fac.q, fac.r
+    # q^T u is skew by construction; QRTangent's test could refuse it near its edge
+    s, t = _split_skew_upper(solve_triangular(r.T, (q.T @ e).T, *inverses).T)
+    return QRTangent._own(q @ s, t @ r, q)
+
+
 def qr_derivative_solve(q, r, e, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> QRTangent:
     """Tangent (u, v) with u @ r + q @ v = e, for invertible r.
 
@@ -140,11 +150,8 @@ def qr_derivative_solve(q, r, e, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> Q
     """
     q, r, e = _base(QRPair, q, r, e=e)
     _require_orthogonal(q, cfg)
-    if float(np.abs(r.diagonal()).min()) <= _scaled(cfg.singularity_tol, r):
-        raise SingularR("r has a diagonal entry below the singularity threshold")
-    # q^T u is skew by construction; QRTangent's test could refuse it near its edge
-    s, t = _split_skew_upper(solve_triangular(r.T, (q.T @ e).T).T)
-    return QRTangent._own(q @ s, t @ r, q)
+    fac = QRPair._own(q, r)
+    return _qr_apply(fac, _qr_prepare(fac, cfg), e)
 
 
 def cholesky_derivative_apply(l, v) -> np.ndarray:
@@ -155,6 +162,23 @@ def cholesky_derivative_apply(l, v) -> np.ndarray:
     return l @ v.T + v @ l.T
 
 
+def _cholesky_prepare(fac: CholeskyFactor, cfg: ToleranceConfig) -> tuple:
+    l = fac.l
+    if float(np.abs(l.diagonal()).min()) <= _scaled(cfg.singularity_tol, l):
+        raise SingularL("l has a diagonal entry below the singularity threshold")
+    return _held(fac, l)
+
+
+def _cholesky_apply(fac: CholeskyFactor, inverses: tuple, e: np.ndarray) -> np.ndarray:
+    l = fac.l
+    m = solve_triangular(l, solve_triangular(l, e, *inverses).T, *inverses).T
+    # the two solves break exact symmetry at roundoff; restored exactly, m
+    # needs no symmetry test, but an overflow must still refuse the step
+    m = 0.5 * (m + m.T)
+    _require_finite(m, "m")
+    return l @ _halve_onto_lower(m)
+
+
 def cholesky_derivative_solve(l, e, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> np.ndarray:
     """Lower-triangular tangent v with l @ v^T + v @ l^T = e, for symmetric e
     and l with positive diagonal.
@@ -163,18 +187,11 @@ def cholesky_derivative_solve(l, e, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -
     asymmetric e.
     """
     l, e = _base(CholeskyFactor, l, e=e)
-    if float(np.abs(l.diagonal()).min()) <= _scaled(cfg.singularity_tol, l):
-        raise SingularL("l has a diagonal entry below the singularity threshold")
+    fac = CholeskyFactor._own(l)
+    inverses = _cholesky_prepare(fac, cfg)
     if not _symmetric(e, cfg):
         raise NotSymmetric("e is not symmetric within structural tolerance")
-    inverses = _inverted_blocks(l)  # both solves apply the same blocks
-    y = solve_triangular(l, e, inverses=inverses)
-    m = solve_triangular(l, y.T, inverses=inverses).T
-    # the two solves break exact symmetry at roundoff; restored exactly, m
-    # needs no symmetry test, but an overflow must still refuse the step
-    m = 0.5 * (m + m.T)
-    _require_finite(m, "m")
-    return l @ _halve_onto_lower(m)
+    return _cholesky_apply(fac, inverses, e)
 
 
 def ldu_derivative_apply(l, d, u, tan: LDUTangent) -> np.ndarray:
@@ -188,6 +205,20 @@ def ldu_derivative_apply(l, d, u, tan: LDUTangent) -> np.ndarray:
     return (tan.a * dvec) @ u + (l * tan.s.diagonal()) @ u + (l * dvec) @ tan.b
 
 
+def _ldu_prepare(fac: LDUTriple, cfg: ToleranceConfig) -> tuple:
+    if _singular_d(fac.d, cfg):
+        raise SingularD("d has a diagonal entry below the singularity threshold")
+    return _held(fac, fac.l, fac.u.T)
+
+
+def _ldu_apply(fac: LDUTriple, inverses: tuple, e: np.ndarray) -> LDUTangent:
+    l, u, dvec = fac.l, fac.u, fac.d.diagonal()
+    left, right = inverses
+    m = solve_triangular(u.T, solve_triangular(l, e, left).T, right).T
+    ml, md, mu = _split_lower_diag_upper(m)
+    return LDUTangent._own((l @ ml) / dvec[None, :], md, (mu / dvec[:, None]) @ u)
+
+
 def ldu_derivative_solve(l, d, u, e, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> LDUTangent:
     """Tangent triple (a, s, b) with a @ d @ u + l @ s @ u + l @ d @ b = e.
 
@@ -195,10 +226,5 @@ def ldu_derivative_solve(l, d, u, e, cfg: ToleranceConfig = DEFAULT_TOLERANCES) 
     singularity floor.
     """
     l, d, u, e = _base(LDUTriple, l, d, u, e=e)
-    dvec = d.diagonal()
-    if _singular_d(d, cfg):
-        raise SingularD("d has a diagonal entry below the singularity threshold")
-    y = solve_triangular(l, e)
-    m = solve_triangular(u.T, y.T).T
-    ml, md, mu = _split_lower_diag_upper(m)
-    return LDUTangent._own((l @ ml) / dvec[None, :], md, (mu / dvec[:, None]) @ u)
+    fac = LDUTriple._own(l, d, u)
+    return _ldu_apply(fac, _ldu_prepare(fac, cfg), e)

@@ -4,7 +4,14 @@ tracking of factor paths along smooth matrix families.
 Because each derivative is an isomorphism on the open factor domain, Newton's
 method applies directly: solve the derivative equation for the residual, step,
 and (for the orthogonal factor) retract back onto the group via the polar
-factor. Tracking advances a factorization along a parametrized family by
+factor. The corrector is simplified Newton (Deuflhard, Newton Methods for
+Nonlinear Problems, 2.1): it prepares the derivative's inverse at its guess
+(frechet's prepared base) and keeps it while the last contraction predicts
+that the next step lands within tolerance, preparing it again at the
+current iterate otherwise, so a good guess costs one set of triangle
+inverses and a poor one gets full Newton. The domain certificate of each
+accepted factor bounds the norms of its inverse triangles from that base.
+Tracking advances a factorization along a parametrized family by
 prediction followed by Newton correction. The factor path is analytic, so
 once a run has three accepted samples, the quadratic through them predicts
 the next one with O(h^3) error and no derivative solve (the multistep
@@ -15,11 +22,11 @@ halved interval, and whenever the extrapolated guess or its correction
 fails. When that fails too, the step halves (up to four times per interval).
 
 The three maps differ only in their pieces (container, whose product() is
-the map, kernel, derivative solve and apply, settling onto the manifold,
-chart and domain tests), which one private table holds per map; one step
-(solve, then move, settle and build the container, for a prediction and a
-Newton correction alike), one corrector and one tracker run from it, and so
-do the CLI and the derivative check in verify.
+the map, kernel, derivative solve and apply, prepared base, settling onto
+the manifold, chart and domain tests), which one private table holds per
+map; one step (solve, then move, settle and build the container, for a
+prediction and a Newton correction alike), one corrector and one tracker
+run from it, and so do the CLI and the derivative check in verify.
 """
 
 from __future__ import annotations
@@ -60,6 +67,12 @@ from .errors import (
 )
 from .factor import cholesky_factor, in_domain_p, ldu_factor, qr_factor
 from .frechet import (
+    _cholesky_apply,
+    _cholesky_prepare,
+    _ldu_apply,
+    _ldu_prepare,
+    _qr_apply,
+    _qr_prepare,
     cholesky_derivative_apply,
     cholesky_derivative_solve,
     ldu_derivative_apply,
@@ -170,9 +183,19 @@ def _roundoff(n: int) -> float:
     return 4.0 * (n + 2) * float(np.finfo(np.float64).eps)
 
 
-def _inverse_norm(t: np.ndarray) -> float:
-    """||t^-1||_F of an upper triangle t: inf for a zero on its diagonal, and
-    inf or nan once the inverse overflows."""
+def _inverse_norm(t: np.ndarray, g=None, held=None) -> float:
+    """A bound on ||t^-1||_F for an upper triangle t. Given held, the inverse
+    of a triangle g near t (of any orientation: the Frobenius norm does not
+    see it), it is the Neumann bound ||g^-1|| / (1 - ||g^-1|| ||t - g||), from
+    t = g (I + g^-1 (t - g)), with no inversion of t, while that product is
+    below 1. The product is rounded up by _roundoff(n), since 1 - product
+    magnifies its relative error as it nears 1. Otherwise t is inverted: inf
+    for a zero on its diagonal, and inf or nan once the inverse overflows."""
+    if held is not None:
+        spread = hs_norm(held)
+        product = spread * hs_norm(t - g) * (1.0 + _roundoff(len(t)))
+        if product < 1.0:  # false for nan as well
+            return spread / (1.0 - product)
     return hs_norm(_upper_inverse(t)) if t.diagonal().all() else math.inf
 
 
@@ -180,7 +203,10 @@ def _inverse_norm(t: np.ndarray) -> float:
 # the domain's boundary by the conditioning of the factor accepted there and
 # its residual ||a - product||, as measured. Only a factor it does not prove,
 # or a failed step, runs the exact test, whose verdict is final, so every
-# verdict and its t are the exact test's up to first-order rounding.
+# verdict and its t are the exact test's up to first-order rounding. The
+# norms of the factor's inverse triangles are bounded from near, the guess
+# its corrector prepared a base at (_inverse_norm), and from the factor
+# itself where near holds no base.
 
 
 def _qr_domain(a: np.ndarray, t: float, cfg: ToleranceConfig) -> None:
@@ -202,7 +228,9 @@ def _ldu_domain(a: np.ndarray, t: float, cfg: ToleranceConfig) -> None:
         raise PathLeavesDomain(t, f"a(t) has a numerically zero leading pivot at t={t:.6g}")
 
 
-def _qr_certified(a: np.ndarray, fac: QRPair, residual: float, cfg: ToleranceConfig) -> bool:
+def _qr_certified(
+    a: np.ndarray, fac: QRPair, residual: float, cfg: ToleranceConfig, near=None
+) -> bool:
     """Whether fac, accepted for a with its residual, proves the svd's
     smallest singular value of a above its threshold.
 
@@ -213,15 +241,18 @@ def _qr_certified(a: np.ndarray, fac: QRPair, residual: float, cfg: ToleranceCon
     norms bound the 2-norms, here and in _cholesky_certified.
     """
     q, r = fac.q, fac.r
+    near = fac if near is None else near
+    (held,) = near._inverses or (None,)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # an overflow proves nothing
-        floor = (1.0 - hs_norm(q.T @ q - np.eye(len(a)))) / np.float64(_inverse_norm(r))
+        spread = np.float64(_inverse_norm(r, near.r, held))
+        floor = (1.0 - hs_norm(q.T @ q - np.eye(len(a)))) / spread
         rounding = _roundoff(len(a)) * hs_norm(q) * hs_norm(r)
         gap = floor - residual - rounding
         return bool(np.isfinite(gap)) and gap > _scaled(cfg.singularity_tol, a)
 
 
 def _cholesky_certified(
-    a: np.ndarray, fac: CholeskyFactor, residual: float, cfg: ToleranceConfig
+    a: np.ndarray, fac: CholeskyFactor, residual: float, cfg: ToleranceConfig, near=None
 ) -> bool:
     """Whether fac, accepted for a with its residual, proves eigvalsh's
     smallest eigenvalue of the symmetric part of a above its threshold.
@@ -232,14 +263,18 @@ def _cholesky_certified(
     (Higham, ASNA 2nd ed., ch. 14) and eigvalsh's error, p(n) eps ||a||_2.
     """
     l = fac.l
+    near = fac if near is None else near
+    (held,) = near._inverses or (None,)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # an overflow proves nothing
-        spread, size = np.float64(_inverse_norm(l.T)), hs_norm(l)
+        spread, size = np.float64(_inverse_norm(l.T, near.l.T, held)), hs_norm(l)
         rounding = _roundoff(len(a)) * size * size
         gap = 1.0 / (spread * spread) - residual - rounding
         return bool(np.isfinite(gap)) and gap > _scaled(cfg.singularity_tol, a)
 
 
-def _ldu_certified(a: np.ndarray, fac: LDUTriple, residual: float, cfg: ToleranceConfig) -> bool:
+def _ldu_certified(
+    a: np.ndarray, fac: LDUTriple, residual: float, cfg: ToleranceConfig, near=None
+) -> bool:
     """Whether fac, accepted for a with its residual, proves every pivot of
     ldu_factor's elimination of a above its threshold.
 
@@ -258,8 +293,10 @@ def _ldu_certified(a: np.ndarray, fac: LDUTriple, residual: float, cfg: Toleranc
     """
     l, u = fac.l, fac.u
     dmag = np.abs(fac.d.diagonal())
+    near = fac if near is None else near
+    held_l, held_u = near._inverses or (None, None)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow proves nothing
-        spread = _inverse_norm(l.T) * _inverse_norm(u)
+        spread = _inverse_norm(l.T, near.l.T, held_l) * _inverse_norm(u, near.u, held_u)
         rounding = _roundoff(len(a)) * spread * hs_norm(l) * float(dmag.max()) * hs_norm(u)
         rho = spread * (residual + rounding)
         gap = float(dmag.min()) - 2.0 * rho
@@ -277,14 +314,16 @@ class _FactorMap:
     container: type
     symmetric: bool  # products are symmetric: inputs must be, and are symmetrized with residuals
     factor: Callable  # (a, cfg) -> container
-    solve: Callable  # (*parts, e, cfg) -> tangent
+    solve: Callable  # (*parts, e, cfg) -> tangent: the public solve, for a prediction
+    prepare: Callable  # (container, cfg) -> its prepared base, after its singularity test
+    apply_inverse: Callable  # (container, base, e) -> tangent, by the base's inverses
     apply: Callable  # (*parts, tangent, cfg) -> matrix
     tangent: Callable  # tangent -> its components, in tangent_names order
     settle: Callable  # (*parts, cfg) -> the parts back on the factor manifold (q retracted)
     off_chart: Callable  # (*parts, cfg) -> whether a corrector iterate left the chart
     chart_error: str
     domain: Callable  # (a, t, cfg) -> None, or raises PathLeavesDomain: the exact test
-    certificate: Callable  # (a, container, residual, cfg) -> whether they prove a in the domain
+    certificate: Callable  # (a, container, residual, cfg, near) -> whether they prove a inside
     correct: Callable  # (a, guess, cfg) -> (container, iterations)
 
     def parts(self, fac) -> tuple:
@@ -294,7 +333,8 @@ class _FactorMap:
 # perfbench/tracing.py wraps the kernels, solves and correctors by replacing
 # them under their module-level names, so every field calls them through that
 # name when it runs. A field holding the function object itself would bypass
-# the wrapper, and the traced counts would read 0.
+# the wrapper, and the traced counts would read 0. The private prepare and
+# apply_inverse halves are not traced, and are held as objects.
 _MAPS = {
     "qr": _FactorMap(
         tangent_names=("u", "v"),
@@ -302,6 +342,8 @@ _MAPS = {
         symmetric=False,
         factor=lambda a, cfg: qr_factor(a, cfg),
         solve=lambda q, r, e, cfg: qr_derivative_solve(q, r, e, cfg),
+        prepare=_qr_prepare,
+        apply_inverse=_qr_apply,
         apply=lambda q, r, tan, cfg: qr_derivative_apply(q, r, tan, cfg),
         tangent=lambda tan: (tan.u, tan.v),
         settle=lambda q, r, cfg: (retract_orthogonal(q, cfg), r),
@@ -317,6 +359,8 @@ _MAPS = {
         symmetric=True,
         factor=lambda a, cfg: cholesky_factor(a, cfg),
         solve=lambda l, e, cfg: cholesky_derivative_solve(l, e, cfg),
+        prepare=_cholesky_prepare,
+        apply_inverse=_cholesky_apply,
         apply=lambda l, v, cfg: cholesky_derivative_apply(l, v),
         tangent=lambda v: (v,),
         settle=lambda l, cfg: (l,),
@@ -332,6 +376,8 @@ _MAPS = {
         symmetric=False,
         factor=lambda a, cfg: ldu_factor(a, cfg),
         solve=lambda l, d, u, e, cfg: ldu_derivative_solve(l, d, u, e, cfg),
+        prepare=_ldu_prepare,
+        apply_inverse=_ldu_apply,
         apply=lambda l, d, u, tan, cfg: ldu_derivative_apply(l, d, u, tan),
         tangent=lambda tan: (tan.a, tan.s, tan.b),
         settle=lambda l, d, u, cfg: (l, d, u),
@@ -344,14 +390,19 @@ _MAPS = {
 }
 
 
-def _step(m: _FactorMap, fac, e: np.ndarray, cfg: ToleranceConfig):
+def _step(m: _FactorMap, fac, e: np.ndarray, cfg: ToleranceConfig, base=None):
     """One step of a prediction or a Newton correction: solve the derivative
-    equation for e at fac, move its parts along the tangent, and refuse an
-    iterate that left the chart. Returns the tangent and the new container."""
+    equation for e, by the public solve at fac or, given base, by the base
+    prepared at that container (a simplified Newton step when it is not
+    fac), move fac's parts along the tangent, and refuse an iterate that
+    left the chart. Returns the tangent and the new container."""
     if m.symmetric:  # roundoff breaks the exact symmetry the solve requires
         e = 0.5 * (e + e.T)
     parts = m.parts(fac)
-    tan = m.solve(*parts, e, cfg)
+    if base is None:
+        tan = m.solve(*parts, e, cfg)
+    else:
+        tan = m.apply_inverse(base, m.prepare(base, cfg), e)
     return tan, _vetted(m, (p + c for p, c in zip(parts, m.tangent(tan))), cfg)
 
 
@@ -378,15 +429,18 @@ def _correct(m: _FactorMap, a, guess, cfg: ToleranceConfig, max_iters: int):
     if guess.n != len(a):
         raise ShapeError(f"guess has dimension {guess.n}, but a has dimension {len(a)}")
     fac, tol = guess, _scaled(cfg.structural_tol, a)
+    base, last = guess, math.inf
     for it in range(max_iters + 1):
         residual = a - fac.product()
-        if hs_norm(residual) <= tol:
+        size = hs_norm(residual)
+        if size <= tol:
             return fac, it  # at zero steps, the caller's own guess
         if it == max_iters:
             break
-        # tan stays bound until the next solve: freeing it within each step let
-        # malloc trim and re-fault the heap, ~40% more page faults at n=128
-        tan, fac = _step(m, fac, residual, cfg)
+        if size * (size / last) > tol:  # the last contraction again would miss tol
+            base = fac
+        last = size
+        fac = _step(m, fac, residual, cfg, base)[1]
     raise NoConvergence(f"residual above tolerance after {max_iters} iterations")
 
 
@@ -483,14 +537,15 @@ def _advance(m, path, cfg, history, prev, nxt, depth):
                 pass
         if corrected is None:
             try:
-                # tan stays bound through the correction, as the corrector's does
+                # tan stays bound through the correction: dropped here, it let
+                # malloc trim and re-fault the heap, ~5% more page faults at n=128
                 tan, guess = _step(m, history[-1][1], a_next - a_prev, cfg)
                 corrected, spent = m.correct(a_next, guess, cfg)
             except _STEP_FAILURES:
                 pass
     if corrected is not None:
         residual = hs_norm(a_next - corrected.product())
-        if not m.certificate(a_next, corrected, residual, cfg):
+        if not m.certificate(a_next, corrected, residual, cfg, guess):
             m.domain(a_next, t_next, cfg)
         history.append((t_next, corrected))
         del history[:-_HISTORY]

@@ -1,6 +1,8 @@
 """Every factor and tangent the package computes is built as computed,
 through the private _Container._own, with no copy and no repeated numeric
-test; every Newton iterate and prediction is built in newton._vetted. The
+test: a public derivative solve builds the factor it prepares from the
+copies its validation made; every Newton iterate and prediction is built in
+newton._vetted. The
 checking constructors run only on arrays a caller passes (a corrector's
 zero-step exit returns the caller's own guess, checked when the caller built
 it) and in the oracle qr_factor_mgs, which keeps them so that it stays
@@ -55,7 +57,10 @@ def test_computed_results_are_built_as_computed():
         ("factor", "cholesky_factor"),
         ("factor", "ldu_factor"),
         ("frechet", "qr_derivative_solve"),
+        ("frechet", "cholesky_derivative_solve"),
         ("frechet", "ldu_derivative_solve"),
+        ("frechet", "_qr_apply"),
+        ("frechet", "_ldu_apply"),
         ("newton", "_vetted"),
     }
 

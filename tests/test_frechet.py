@@ -39,6 +39,7 @@ from factordiff import (
     qr_factor,
     sym_to_lower,
 )
+from factordiff.core import _upper_inverse
 from factordiff.frechet import solve_triangular
 from factordiff.newton import _MAPS
 from factordiff.verify import FD_STEP
@@ -166,12 +167,13 @@ class TestCholeskyDerivative:
 
     @pytest.mark.parametrize("n", [1, 5, 32, 33, 40, 128])
     def test_solve_halves_as_sym_to_lower(self, n):
-        # two plain solve_triangular calls, each inverting its own blocks, are
-        # the oracle for the solve's one set of shared block inverses
+        # two applications of one core._upper_inverse of l reversed are the
+        # oracle for the solve's one prepared inverse
         rng = np.random.default_rng([43, n])
         l = cholesky_factor(random_spd(rng, n)).l
         e = random_symmetric(rng, n)
-        m = solve_triangular(l, solve_triangular(l, e).T).T
+        inverse = _upper_inverse(l[::-1, ::-1])
+        m = solve_triangular(l, solve_triangular(l, e, inverse).T, inverse).T
         expected = l @ sym_to_lower(0.5 * (m + m.T))
         assert cholesky_derivative_solve(l, e).tobytes() == expected.tobytes()
 

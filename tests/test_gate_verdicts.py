@@ -13,10 +13,13 @@ from the corrector, so their batteries run whole paths through the trackers.
 """
 
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
 from conftest import recording
+from hypothesis import given
+from hypothesis import strategies as st
 
 from factordiff import (
     DEFAULT_TOLERANCES,
@@ -39,6 +42,7 @@ from factordiff import (
     track_qr,
 )
 from factordiff import newton
+from factordiff.core import _upper_inverse
 from factordiff.newton import _cholesky_domain, _qr_domain
 
 T = 0.375
@@ -608,3 +612,38 @@ class TestSeedCertificate:
         report = track(PathSpec(lambda t: (1.0 - t) * a0 + t * a1, steps=2), cfg)
         assert report.ts == [0.0, 0.5, 1.0]
         assert 0.0 not in tested
+
+
+@given(
+    n=st.integers(min_value=1, max_value=40),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    spread=st.sampled_from([1.0, 100.0]),
+    decades=st.floats(min_value=-17.0, max_value=1.0),
+)
+def test_neumann_bound_of_a_held_inverse(n, seed, spread, decades):
+    """A certificate bounds ||f^-1|| of the accepted triangle f from the
+    inverse its corrector's base g holds, as frechet holds it (the reversed
+    lower form), by ||g^-1|| / (1 - ||g^-1|| ||f - g||), within the rounding
+    of the inversion it replaces. Where that product, rounded up, is 1 or
+    more, it falls back to inverting f."""
+    rng = np.random.default_rng(seed)
+    g = unit_triangle(rng, n, False, spread) * 10.0 ** rng.uniform(-1.0, 1.0, n)
+    delta = np.triu(rng.standard_normal((n, n))) * 10.0**decades * hs_norm(g)
+    f = g + delta
+    held = _upper_inverse(g.T[::-1, ::-1])
+    inverted = []
+
+    def counted(t):
+        inverted.append(t)
+        return _upper_inverse(t)
+
+    with mock.patch.object(newton, "_upper_inverse", counted):
+        bound = newton._inverse_norm(f, g, held)
+    exact = hs_norm(_upper_inverse(f))
+    product = hs_norm(held) * hs_norm(f - g)
+    if product < 1.0:
+        assert bound * (1.0 + newton._roundoff(n)) >= exact
+    if product * (1.0 + newton._roundoff(n)) < 1.0:  # the product rounded up
+        assert inverted == []
+    else:
+        assert len(inverted) == 1 and bound == exact

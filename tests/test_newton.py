@@ -10,11 +10,14 @@ from factordiff import (
     ConvergedOutsideChart,
     LDUTriple,
     NoConvergence,
+    NotInDomainP,
     NotSymmetric,
     PathLeavesDomain,
     PathSpec,
     QRPair,
     ShapeError,
+    SingularD,
+    SingularL,
     SingularR,
     ToleranceConfig,
     TooFarFromGroup,
@@ -32,7 +35,7 @@ from factordiff import (
     track_ldu,
     track_qr,
 )
-from factordiff import newton
+from factordiff import frechet, newton
 
 
 class TestRetractOrthogonal:
@@ -522,7 +525,7 @@ def test_zero_step_correction_returns_the_guess(correct, factor, make):
 
 @pytest.mark.parametrize("n", [33, 64])
 def test_tracking_across_the_block_edge_matches_the_kernels(n):
-    # above 32 columns every triangular solve runs block substitution; each
+    # above 32 columns every prepared inverse is formed by halves; each
     # sample of a linear 8-step path must still be the kernel's factorization
     rng = np.random.default_rng(n)
     g0, g1 = rng.standard_normal((2, n, n)) / np.sqrt(n)
@@ -534,8 +537,9 @@ def test_tracking_across_the_block_edge_matches_the_kernels(n):
         (track_ldu, ldu_factor, a0, a1),
     ):
         report = track(PathSpec(lambda t: (1.0 - t) * x0 + t * x1, steps=8))
-        # Newton still converges on an inexact solve, only more slowly: a
-        # block solve that drops or shifts its coupling takes 4-5 iterations
+        # Newton still converges on an inexact inverse, only more slowly, so
+        # the count catches an inverse that drops or shifts the coupling of
+        # its halves
         assert max(report.newton_iters) <= 3
         for t, fac in zip(report.ts, report.factors):
             a_t = (1.0 - t) * x0 + t * x1
@@ -561,3 +565,73 @@ def test_sample_stream_holds_at_most_the_history(kind):
     assert len(refs) == 65
     assert max(alive) <= newton._HISTORY
     assert all(ref() is None for ref in refs)
+
+
+def test_a_sample_after_the_second_prepares_one_base(monkeypatch):
+    """On a 16-step n = 64 linear LDU path of the benchmark's family, every
+    sample from the third on corrects its extrapolated guess on one base,
+    the inverses of l and u formed once, and its certificate bounds them
+    from that base without inverting the accepted factor."""
+    n, rng = 64, np.random.default_rng(64)
+    g0, g1 = rng.standard_normal((2, n, n))
+    shift = 1.0 + max(np.linalg.norm(g0, 2), np.linalg.norm(g1, 2)) / np.sqrt(n)
+    a0, a1 = g0 / np.sqrt(n) + shift * np.eye(n), g1 / np.sqrt(n) + shift * np.eye(n)
+    path = PathSpec(lambda t: (1.0 - t) * a0 + t * a1, steps=16)
+    calls = {"prepare": 0, "certificate": 0}
+
+    def counted(module, name):
+        inverse = module._upper_inverse
+
+        def upper_inverse(t):
+            calls[name] += 1
+            return inverse(t)
+
+        monkeypatch.setattr(module, "_upper_inverse", upper_inverse)
+
+    counted(frechet, "prepare")
+    counted(newton, "certificate")
+    per_sample = []
+    for _record in newton._samples(newton._MAPS["ldu"], path, DEFAULT_TOLERANCES):
+        per_sample.append(dict(calls))
+        calls.update(prepare=0, certificate=0)
+    assert len(per_sample) == 17
+    # the seed's certificate inverts its factor; at the two derivative steps
+    # the public solve prepares its own base, and the corrector prepares again
+    assert per_sample[0] == {"prepare": 0, "certificate": 2}
+    assert all(c["prepare"] > 2 and c["certificate"] == 0 for c in per_sample[1:3])
+    assert per_sample[3:] == [{"prepare": 2, "certificate": 0}] * 14
+
+
+@pytest.mark.parametrize(
+    "correct, factor, symmetric, error",
+    [
+        (qr_newton_correct, qr_factor, False, SingularR),
+        (cholesky_newton_correct, cholesky_factor, True, SingularL),
+        (ldu_newton_correct, ldu_factor, False, SingularD),
+    ],
+)
+def test_a_held_base_meets_each_calls_singularity_test(correct, factor, symmetric, error):
+    # the base holds only inverses: a guess prepared under a loose
+    # singularity_tol is tested again under the strict one of a later call
+    rng = np.random.default_rng(17)
+    e = rng.uniform(-1.0, 1.0, (3, 3))
+    a = np.diag([2.0, 1.0, 1e-4]) + 1e-6 * (e + e.T if symmetric else e)
+    guess = factor(np.diag([2.0, 1.0, 1e-4]))
+    loose, strict = DEFAULT_TOLERANCES, ToleranceConfig(singularity_tol=0.1)
+    assert correct(a, guess, loose)[1] > 0
+    assert guess._inverses is not None
+    with pytest.raises(error):
+        correct(a, guess, strict)
+
+
+def test_a_refused_seed_keeps_the_kernels_error(monkeypatch):
+    # a kernel refusal at t = 0 runs the exact test; where it passes, the
+    # kernel's own error goes on, not a PathLeavesDomain
+    def refuse(a, cfg):
+        raise NotInDomainP(1)
+
+    monkeypatch.setattr(newton, "ldu_factor", refuse)
+    path = PathSpec(lambda t: np.eye(3) + 0.1 * t * np.ones((3, 3)), steps=2)
+    with pytest.raises(NotInDomainP) as refused:
+        track_ldu(path)
+    assert refused.value.k == 1

@@ -1,10 +1,10 @@
 """Structure is said once and used: core._SHAPES cuts every triangle (through
-core._impose), every triangular solve runs one regime of inverted diagonal
-blocks, every triangle is inverted by core._upper_inverse, and LDU's d and
-s are applied as diagonals, never as n-by-n matrices. The first tests read
-the code of src/factordiff and fail on a second statement of a structure,
-a second solve regime or a second inversion; the others pin the results
-those forms must keep."""
+core._impose), every triangular solve applies one prepared inverse of the
+whole triangle, every triangle is inverted by core._upper_inverse, and
+LDU's d and s are applied as diagonals, never as n-by-n matrices. The
+first tests read the code of src/factordiff and fail on a second statement
+of a structure, a second solve regime or a second inversion; the others pin
+the results those forms must keep."""
 
 import ast
 from pathlib import Path
@@ -13,8 +13,15 @@ import numpy as np
 import pytest
 from conftest import random_diag_shifted, random_square
 
-from factordiff import LDUTangent, ldu_derivative_apply, ldu_factor
-from factordiff.frechet import _inverted_blocks
+from factordiff import (
+    DEFAULT_TOLERANCES,
+    CholeskyFactor,
+    LDUTangent,
+    ldu_derivative_apply,
+    ldu_factor,
+)
+from factordiff.core import _upper_inverse
+from factordiff.frechet import _cholesky_prepare
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "factordiff"
 # the modules that form, solve and multiply structured factors
@@ -92,14 +99,19 @@ def test_one_triangular_inverse():
 
 @pytest.mark.parametrize("n", [1, 2, 31, 32, 33])
 def test_inverted_blocks_at_every_size(n):
+    # a factor's prepared base is the inverse of its reversed triangle,
+    # formed once and then held; each diagonal block of at most 32 columns
+    # (the whole triangle up to 32, its two halves at 33) is one gesv call
     rng = np.random.default_rng(n)
     t = np.tril(random_square(rng, n)) + 2.0 * np.eye(n)
-    blocks = _inverted_blocks(t)
-    assert isinstance(blocks, list)
-    assert [s for s, _ in blocks] == list(range((n - 1) // 32 * 32, -1, -32))
+    fac = CholeskyFactor(t)
+    (inverse,) = _cholesky_prepare(fac, DEFAULT_TOLERANCES)
+    assert _cholesky_prepare(fac, DEFAULT_TOLERANCES)[0] is inverse
     reversed_t = t[::-1, ::-1]
-    for s, inverse in blocks:
-        assert np.array_equal(inverse, np.linalg.inv(reversed_t[s:s + 32, s:s + 32]))
+    assert np.array_equal(inverse, _upper_inverse(reversed_t))
+    blocks = [slice(0, n)] if n <= 32 else [slice(0, n // 2), slice(n // 2, n)]
+    for block in blocks:
+        assert np.array_equal(inverse[block, block], np.linalg.inv(reversed_t[block, block]))
 
 
 @pytest.mark.parametrize("n", [1, 5, 33, 128])

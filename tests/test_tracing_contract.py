@@ -84,9 +84,11 @@ def test_traced_counts(tmp_path):
         "factor.cholesky_factor": 1,
         "factor.ldu_factor": 4,
         "factor.in_domain_p": 1,
-        "frechet.qr_derivative_solve": 20,
-        "frechet.cholesky_derivative_solve": 10,
-        "frechet.ldu_derivative_solve": 11,
+        # the derivative-step predictions: a Newton correction step applies
+        # the base its corrector prepared, and calls no public solve
+        "frechet.qr_derivative_solve": 4,
+        "frechet.cholesky_derivative_solve": 2,
+        "frechet.ldu_derivative_solve": 3,
         "newton.qr_newton_correct": 6,
         "newton.cholesky_newton_correct": 4,
         "newton.ldu_newton_correct": 4,
@@ -95,10 +97,12 @@ def test_traced_counts(tmp_path):
 
 
 def test_triangular_solve_counts():
-    """Above one 32-column block each derivative solve still enters the
-    public solve_triangular once per triangular solve: once for QR, twice for
-    Cholesky and LDU. A block loop or a reversed lower solve that called the
-    public name again would show here as extra spans."""
+    """Above one 32-column block, each derivative solve and each Newton
+    correction step applies its prepared inverses through the public
+    solve_triangular once per triangular solve: once for QR, twice for
+    Cholesky and LDU. The public derivative solves run only for the
+    derivative-step predictions, two per run here. An apply that called the
+    public name again, or a step that bypassed it, would show here."""
     n = 40
     rng = np.random.default_rng(41)
     g0, g1 = rng.uniform(-1.0, 1.0, (2, n, n)) / np.sqrt(n)
@@ -115,8 +119,16 @@ def test_triangular_solve_counts():
         tracer.uninstall()
 
     counts = Counter(span[0] for span in tracer.spans)
-    solves = {k: counts[f"frechet.{k}_derivative_solve"] for k in ("qr", "cholesky", "ldu")}
-    assert solves == {"qr": 8, "cholesky": 8, "ldu": 8}
+    kinds = ("qr", "cholesky", "ldu")
+    solves = {k: counts[f"frechet.{k}_derivative_solve"] for k in kinds}
+    assert solves == {"qr": 2, "cholesky": 2, "ldu": 2}
+    # a corrector span's extra is its iteration count, one step each
+    steps = {k: 0 for k in kinds}
+    for name, _start, _end, _parent, _op, extra in tracer.spans:
+        if name.endswith("_newton_correct"):
+            steps[name.split(".")[1].split("_")[0]] += extra
+    assert all(steps.values())
+    applied = {k: solves[k] + steps[k] for k in kinds}
     assert counts["frechet.solve_triangular"] == (
-        solves["qr"] + 2 * solves["cholesky"] + 2 * solves["ldu"]
+        applied["qr"] + 2 * applied["cholesky"] + 2 * applied["ldu"]
     )

@@ -2,10 +2,12 @@
 
     python tests/track_memory.py
 
-runs `python -m factordiff track --kind qr` on the n = 128 linear family
-from I to g/sqrt(n) + 3I (g standard normal from random.Random(n)) at 16
-and at 1,024 steps, prints each run's peak RSS, and exits 1 unless the peak
-at 1,024 steps is within 10 MB of the peak at 16 steps.
+runs `python -m factordiff track --kind qr` and `--kind ldu` on the n = 128
+linear family from I to g/sqrt(n) + 3I (g standard normal from
+random.Random(n)) at 16 and at 1,024 steps, prints each run's peak RSS, and
+exits 1 unless, for each kind, the peak at 1,024 steps is within 10 MB of
+the peak at 16 steps. An LDU guess holds two prepared inverses, so a base
+kept past its sample would show as growth.
 
 A peak is the child's own ru_maxrss, as os.wait4 reads it. A child carries
 its parent's high-water RSS across exec, so this launcher imports neither
@@ -21,6 +23,7 @@ from pathlib import Path
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 N = 128
+KINDS = ("qr", "ldu")
 STEPS = (16, 1024)
 SLACK_MB = 10.0
 
@@ -49,17 +52,22 @@ def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         start, stop = _write(Path(tmp, "eye.csv"), eye), _write(Path(tmp, "a.csv"), end)
         out = str(Path(tmp, "track.csv"))
-        peaks = [
-            _peak_mb(["track", "--kind", "qr", "--input", start, stop,
-                      "--steps", str(steps), "--output", out])
-            for steps in STEPS
-        ]
-    for steps, peak in zip(STEPS, peaks):
-        print(f"track --kind qr, n={N}, --steps {steps}: peak RSS {peak:.1f} MB")
-    if peaks[1] - peaks[0] > SLACK_MB:
-        print(f"peak RSS grew by more than {SLACK_MB:g} MB with --steps", file=sys.stderr)
-        return 1
-    return 0
+        peaks = {
+            kind: [
+                _peak_mb(["track", "--kind", kind, "--input", start, stop,
+                          "--steps", str(steps), "--output", out])
+                for steps in STEPS
+            ]
+            for kind in KINDS
+        }
+    grew = False
+    for kind, (low, high) in peaks.items():
+        for steps, peak in zip(STEPS, (low, high)):
+            print(f"track --kind {kind}, n={N}, --steps {steps}: peak RSS {peak:.1f} MB")
+        if high - low > SLACK_MB:
+            print(f"{kind}: peak RSS grew by more than {SLACK_MB:g} MB with --steps", file=sys.stderr)
+            grew = True
+    return 1 if grew else 0
 
 
 if __name__ == "__main__":
