@@ -16,11 +16,11 @@ independent of this code.
 
 All values are immutable after construction (stored arrays are marked
 read-only) and all operations are pure functions, so everything here is safe
-to share across threads. The one exception is a container's private
-_inverses slot: a factor's prepared base, the inverses of its triangles,
-which frechet forms on first use and then holds. Two threads may both fill
-it; they compute equal inverses from the same frozen factors, so either may
-stay.
+to share across threads. The one exception is a factor's private _inverses
+slot: its prepared base, the inverses of the triangles its _lower names,
+which frechet's _held forms on first use and then holds. Two threads may
+both fill it; they compute equal inverses from the same frozen factors, so
+either may stay.
 """
 
 from __future__ import annotations
@@ -320,7 +320,8 @@ class _Container:
     __init__ keep only numeric checks.
     n is the dimension of the first slot, and the repr is Name(n=...).
     _inverses holds a factor's prepared base (frechet's _held), None until
-    it is formed; subclasses name only their parts in __slots__."""
+    it is formed; subclasses name only their parts in __slots__. A factor's
+    _lower names its triangles once, each in lower form, for that base."""
 
     __slots__ = ("_inverses",)
     _shapes: tuple = ()
@@ -369,6 +370,9 @@ class QRPair(_Container):
         """Recompose q @ r."""
         return self.q @ self.r
 
+    def _lower(self) -> tuple:
+        return (self.r.T,)
+
 
 class CholeskyFactor(_Container):
     """Lower-triangular factor l with non-negative diagonal, tested on a caller's l."""
@@ -383,6 +387,9 @@ class CholeskyFactor(_Container):
     def product(self) -> np.ndarray:
         """Recompose l @ l^T."""
         return self.l @ self.l.T
+
+    def _lower(self) -> tuple:
+        return (self.l,)
 
 
 class LDUTriple(_Container):
@@ -400,6 +407,9 @@ class LDUTriple(_Container):
     def product(self) -> np.ndarray:
         """Recompose l @ d @ u, scaling by the diagonal of d."""
         return (self.l * self.d.diagonal()) @ self.u
+
+    def _lower(self) -> tuple:
+        return (self.l, self.u.T)
 
 
 class QRTangent(_Container):

@@ -15,22 +15,21 @@ inverse of one triangle or of a diagonal. Each map's derivative inverse
 has two private halves:
 
 * prepare (fac, cfg) tests the diagonal of fac against the singularity
-  threshold under cfg, on every call, then returns fac's prepared base: the
-  inverse of each of its triangles (r; l; l and u), formed once per factor
-  container by core._upper_inverse and held in its _inverses slot (_held).
-  The slot holds only the inverses, which depend on no cfg;
+  threshold under cfg, on every call, then returns fac's prepared base
+  (_held): the inverses of the triangles fac._lower names, formed once per
+  container by core._upper_inverse and held in its cfg-free _inverses slot;
 * apply (fac, inverses, e) returns the tangent DF(fac)^-1 e by matmuls
   against them.
 
-Every public solve is validate, prepare, apply, so DF^-1 is applied in one
-way only; the Newton corrector (newton._correct) prepares once at its base
-and applies without validating its own iterates again. Every triangular
-system is lower triangular: l x = c, or t^T x^T = c^T for x t = c with
-t = r, l^T or u. `solve_triangular` solves its reversal, an upper system, by
-one matmul with the reversal's inverse: the one place a prepared inverse is
-applied. core._upper_inverse says why that inverse is exact and safe to
-apply; it runs numpy's LAPACK gesv, so numpy's OpenBLAS is the only BLAS the
-package loads. Cholesky's two solves by l apply the same inverse.
+Every public solve is validate, prepare, apply; the tracker (newton._step)
+prepares and applies alone, on arrays it has already vetted. Every
+triangular system is lower triangular: l x = c, or t^T x^T = c^T for x t = c
+with t = r, l^T or u. `solve_triangular` solves its reversal, an upper
+system, by one matmul with the reversal's prepared inverse: the one place
+such an inverse is applied. core._upper_inverse says why that inverse is
+exact and safe to apply; it runs numpy's LAPACK gesv, so numpy's OpenBLAS is
+the only BLAS the package loads. Cholesky's two solves by l apply the same
+inverse.
 """
 
 from __future__ import annotations
@@ -90,22 +89,20 @@ def _base(container, *parts, **rest) -> tuple:
     return out
 
 
-def solve_triangular(t, c, inverse=None):
+def solve_triangular(t, c, inverse):
     """x with t @ x = c for lower-triangular t with a nonzero diagonal,
     solved as t[::-1, ::-1] @ x[::-1] = c[::-1], which is upper triangular:
-    one matmul by inverse, the reversal's inverse (by default formed here by
-    core._upper_inverse), applied to a contiguous copy of c reversed."""
-    if inverse is None:
-        inverse = _upper_inverse(t[::-1, ::-1])
+    one matmul by inverse, the reversal's inverse as _held prepares it,
+    applied to a contiguous copy of c reversed."""
     return (inverse @ np.ascontiguousarray(c[::-1]))[::-1]
 
 
-def _held(fac, *lower) -> tuple:
+def _held(fac) -> tuple:
     """fac's prepared base: the inverse of the reversal of each lower
-    triangle, as solve_triangular applies it, formed on first use and then
-    held in fac's _inverses slot."""
+    triangle fac._lower names, as solve_triangular applies it, formed on
+    first use and then held in fac's _inverses slot."""
     if fac._inverses is None:
-        fac._inverses = tuple(_upper_inverse(t[::-1, ::-1]) for t in lower)
+        fac._inverses = tuple(_upper_inverse(t[::-1, ::-1]) for t in fac._lower())
     return fac._inverses
 
 
@@ -129,7 +126,7 @@ def _qr_prepare(fac: QRPair, cfg: ToleranceConfig) -> tuple:
     r = fac.r
     if float(np.abs(r.diagonal()).min()) <= _scaled(cfg.singularity_tol, r):
         raise SingularR("r has a diagonal entry below the singularity threshold")
-    return _held(fac, r.T)
+    return _held(fac)
 
 
 def _qr_apply(fac: QRPair, inverses: tuple, e: np.ndarray) -> QRTangent:
@@ -166,7 +163,7 @@ def _cholesky_prepare(fac: CholeskyFactor, cfg: ToleranceConfig) -> tuple:
     l = fac.l
     if float(np.abs(l.diagonal()).min()) <= _scaled(cfg.singularity_tol, l):
         raise SingularL("l has a diagonal entry below the singularity threshold")
-    return _held(fac, l)
+    return _held(fac)
 
 
 def _cholesky_apply(fac: CholeskyFactor, inverses: tuple, e: np.ndarray) -> np.ndarray:
@@ -208,7 +205,7 @@ def ldu_derivative_apply(l, d, u, tan: LDUTangent) -> np.ndarray:
 def _ldu_prepare(fac: LDUTriple, cfg: ToleranceConfig) -> tuple:
     if _singular_d(fac.d, cfg):
         raise SingularD("d has a diagonal entry below the singularity threshold")
-    return _held(fac, fac.l, fac.u.T)
+    return _held(fac)
 
 
 def _ldu_apply(fac: LDUTriple, inverses: tuple, e: np.ndarray) -> LDUTangent:

@@ -9,17 +9,18 @@ Nonlinear Problems, 2.1): it prepares the derivative's inverse at its guess
 (frechet's prepared base) and keeps it while the last contraction predicts
 that the next step lands within tolerance, preparing it again at the
 current iterate otherwise, so a good guess costs one set of triangle
-inverses and a poor one gets full Newton. The domain certificate of each
-accepted factor bounds the norms of its inverse triangles from that base.
+inverses and a poor one gets full Newton. Each accepted factor's domain
+certificate bounds its inverse norms from that base, or from its own.
 Tracking advances a factorization along a parametrized family by
 prediction followed by Newton correction. The factor path is analytic, so
 once a run has three accepted samples, the quadratic through them predicts
 the next one with O(h^3) error and no derivative solve (the multistep
 predictor of Allgower & Georg, Introduction to Numerical Continuation
-Methods, SIAM 2003). The first-order prediction, one derivative solve for
-the change in the input, runs for the first two steps of a run and of each
-halved interval, and whenever the extrapolated guess or its correction
-fails. When that fails too, the step halves (up to four times per interval).
+Methods, SIAM 2003). The first-order prediction, one derivative step for
+the change in the input on the last factor's own base, runs for the first
+two steps of a run and of each halved interval, and whenever the
+extrapolated guess or its correction fails. When that fails too, the step
+halves (up to four times per interval).
 
 The three maps differ only in their pieces (container, whose product() is
 the map, kernel, derivative solve and apply, prepared base, settling onto
@@ -48,7 +49,6 @@ from .core import (
     _scaled,
     _singular_d,
     _symmetric,
-    _upper_inverse,
     hs_norm,
     validate_matrix,
 )
@@ -69,6 +69,7 @@ from .factor import cholesky_factor, in_domain_p, ldu_factor, qr_factor
 from .frechet import (
     _cholesky_apply,
     _cholesky_prepare,
+    _held,
     _ldu_apply,
     _ldu_prepare,
     _qr_apply,
@@ -183,20 +184,25 @@ def _roundoff(n: int) -> float:
     return 4.0 * (n + 2) * float(np.finfo(np.float64).eps)
 
 
-def _inverse_norm(t: np.ndarray, g=None, held=None) -> float:
-    """A bound on ||t^-1||_F for an upper triangle t. Given held, the inverse
-    of a triangle g near t (of any orientation: the Frobenius norm does not
-    see it), it is the Neumann bound ||g^-1|| / (1 - ||g^-1|| ||t - g||), from
-    t = g (I + g^-1 (t - g)), with no inversion of t, while that product is
-    below 1. The product is rounded up by _roundoff(n), since 1 - product
-    magnifies its relative error as it nears 1. Otherwise t is inverted: inf
-    for a zero on its diagonal, and inf or nan once the inverse overflows."""
-    if held is not None:
-        spread = hs_norm(held)
-        product = spread * hs_norm(t - g) * (1.0 + _roundoff(len(t)))
-        if product < 1.0:  # false for nan as well
-            return spread / (1.0 - product)
-    return hs_norm(_upper_inverse(t)) if t.diagonal().all() else math.inf
+def _inverse_norms(fac, near=None) -> list:
+    """A bound on ||t^-1||_F for each triangle t of fac._lower. Where near
+    (by default fac) holds a base, h the inverse held for t's counterpart
+    g, it is the Neumann bound ||h|| / (1 - ||h|| ||t - g||), from
+    t = g (I + g^-1 (t - g)), while that product is below 1, rounded up by
+    _roundoff(n) since 1 - product magnifies its relative error as it nears
+    1. Otherwise it is the norm of fac's own held base (_held), formed here:
+    inf for a zero on t's diagonal, and inf or nan once it overflows."""
+    near = fac if near is None else near
+    bounds = []
+    for k, (t, g) in enumerate(zip(fac._lower(), near._lower())):
+        if near._inverses is not None:
+            spread = hs_norm(near._inverses[k])
+            product = spread * hs_norm(t - g) * (1.0 + _roundoff(len(t)))
+            if product < 1.0:  # false for nan as well
+                bounds.append(spread / (1.0 - product))
+                continue
+        bounds.append(hs_norm(_held(fac)[k]) if t.diagonal().all() else math.inf)
+    return bounds
 
 
 # One rule for every tracked sample: a certificate bounds how far a lies from
@@ -205,8 +211,8 @@ def _inverse_norm(t: np.ndarray, g=None, held=None) -> float:
 # or a failed step, runs the exact test, whose verdict is final, so every
 # verdict and its t are the exact test's up to first-order rounding. The
 # norms of the factor's inverse triangles are bounded from near, the guess
-# its corrector prepared a base at (_inverse_norm), and from the factor
-# itself where near holds no base.
+# its corrector prepared a base at, and from the factor's own base where
+# that bound fails or near holds none (_inverse_norms).
 
 
 def _qr_domain(a: np.ndarray, t: float, cfg: ToleranceConfig) -> None:
@@ -241,10 +247,8 @@ def _qr_certified(
     norms bound the 2-norms, here and in _cholesky_certified.
     """
     q, r = fac.q, fac.r
-    near = fac if near is None else near
-    (held,) = near._inverses or (None,)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # an overflow proves nothing
-        spread = np.float64(_inverse_norm(r, near.r, held))
+        spread = np.float64(*_inverse_norms(fac, near))
         floor = (1.0 - hs_norm(q.T @ q - np.eye(len(a)))) / spread
         rounding = _roundoff(len(a)) * hs_norm(q) * hs_norm(r)
         gap = floor - residual - rounding
@@ -262,11 +266,8 @@ def _cholesky_certified(
     _roundoff(n) ||l||^2 covers the rounding of the residual and of l^-1
     (Higham, ASNA 2nd ed., ch. 14) and eigvalsh's error, p(n) eps ||a||_2.
     """
-    l = fac.l
-    near = fac if near is None else near
-    (held,) = near._inverses or (None,)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # an overflow proves nothing
-        spread, size = np.float64(_inverse_norm(l.T, near.l.T, held)), hs_norm(l)
+        spread, size = np.float64(*_inverse_norms(fac, near)), hs_norm(fac.l)
         rounding = _roundoff(len(a)) * size * size
         gap = 1.0 / (spread * spread) - residual - rounding
         return bool(np.isfinite(gap)) and gap > _scaled(cfg.singularity_tol, a)
@@ -293,10 +294,8 @@ def _ldu_certified(
     """
     l, u = fac.l, fac.u
     dmag = np.abs(fac.d.diagonal())
-    near = fac if near is None else near
-    held_l, held_u = near._inverses or (None, None)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow proves nothing
-        spread = _inverse_norm(l.T, near.l.T, held_l) * _inverse_norm(u, near.u, held_u)
+        spread = math.prod(_inverse_norms(fac, near))
         rounding = _roundoff(len(a)) * spread * hs_norm(l) * float(dmag.max()) * hs_norm(u)
         rho = spread * (residual + rounding)
         gap = float(dmag.min()) - 2.0 * rho
@@ -314,7 +313,7 @@ class _FactorMap:
     container: type
     symmetric: bool  # products are symmetric: inputs must be, and are symmetrized with residuals
     factor: Callable  # (a, cfg) -> container
-    solve: Callable  # (*parts, e, cfg) -> tangent: the public solve, for a prediction
+    solve: Callable  # (*parts, e, cfg) -> tangent: the public solve, for the CLI and verify
     prepare: Callable  # (container, cfg) -> its prepared base, after its singularity test
     apply_inverse: Callable  # (container, base, e) -> tangent, by the base's inverses
     apply: Callable  # (*parts, tangent, cfg) -> matrix
@@ -391,19 +390,14 @@ _MAPS = {
 
 
 def _step(m: _FactorMap, fac, e: np.ndarray, cfg: ToleranceConfig, base=None):
-    """One step of a prediction or a Newton correction: solve the derivative
-    equation for e, by the public solve at fac or, given base, by the base
-    prepared at that container (a simplified Newton step when it is not
-    fac), move fac's parts along the tangent, and refuse an iterate that
-    left the chart. Returns the tangent and the new container."""
-    if m.symmetric:  # roundoff breaks the exact symmetry the solve requires
+    """One step of a prediction or a Newton correction: DF^-1 e by the base
+    prepared at base, by default at fac (a simplified Newton step when it is
+    another container), then fac's parts moved along it and _vetted."""
+    if m.symmetric:  # roundoff breaks the symmetry of DF's range
         e = 0.5 * (e + e.T)
-    parts = m.parts(fac)
-    if base is None:
-        tan = m.solve(*parts, e, cfg)
-    else:
-        tan = m.apply_inverse(base, m.prepare(base, cfg), e)
-    return tan, _vetted(m, (p + c for p, c in zip(parts, m.tangent(tan))), cfg)
+    base = fac if base is None else base
+    tan = m.apply_inverse(base, m.prepare(base, cfg), e)
+    return _vetted(m, (p + c for p, c in zip(m.parts(fac), m.tangent(tan))), cfg)
 
 
 def _vetted(m: _FactorMap, parts, cfg: ToleranceConfig):
@@ -440,7 +434,7 @@ def _correct(m: _FactorMap, a, guess, cfg: ToleranceConfig, max_iters: int):
         if size * (size / last) > tol:  # the last contraction again would miss tol
             base = fac
         last = size
-        fac = _step(m, fac, residual, cfg, base)[1]
+        fac = _step(m, fac, residual, cfg, base)
     raise NoConvergence(f"residual above tolerance after {max_iters} iterations")
 
 
@@ -537,9 +531,7 @@ def _advance(m, path, cfg, history, prev, nxt, depth):
                 pass
         if corrected is None:
             try:
-                # tan stays bound through the correction: dropped here, it let
-                # malloc trim and re-fault the heap, ~5% more page faults at n=128
-                tan, guess = _step(m, history[-1][1], a_next - a_prev, cfg)
+                guess = _step(m, history[-1][1], a_next - a_prev, cfg)
                 corrected, spent = m.correct(a_next, guess, cfg)
             except _STEP_FAILURES:
                 pass

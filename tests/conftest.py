@@ -55,6 +55,14 @@ def random_diag_shifted(rng, n):
     return random_square(rng, n) + np.sqrt(n) * np.eye(n)
 
 
+def shifted_pair(rng, n):
+    """The ends of the benchmark's track-large family for QR and LDU: two
+    draws g / sqrt(n) shifted by one past their largest 2-norm."""
+    g0, g1 = rng.standard_normal((2, n, n))
+    shift = 1.0 + max(np.linalg.norm(g0, 2), np.linalg.norm(g1, 2)) / np.sqrt(n)
+    return g0 / np.sqrt(n) + shift * np.eye(n), g1 / np.sqrt(n) + shift * np.eye(n)
+
+
 def random_in_p(rng, n, margin=1e-2):
     gate = replace(DEFAULT_TOLERANCES, singularity_tol=margin)
     while True:

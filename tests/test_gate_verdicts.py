@@ -41,7 +41,7 @@ from factordiff import (
     track_ldu,
     track_qr,
 )
-from factordiff import newton
+from factordiff import frechet, newton
 from factordiff.core import _upper_inverse
 from factordiff.newton import _cholesky_domain, _qr_domain
 
@@ -264,9 +264,12 @@ class TestCertificates:
         assert not newton._qr_certified(a, halved, measured(a, halved), DEFAULT_TOLERANCES)
 
     def test_inverse_norm_of_a_singular_triangle(self):
+        # a zero on the diagonal bounds nothing, and forms no base
         t = np.tril(np.ones((40, 40)))
         t[17, 17] = 0.0
-        assert newton._inverse_norm(t) == np.inf
+        fac = CholeskyFactor._own(t)
+        assert newton._inverse_norms(fac) == [np.inf]
+        assert fac._inverses is None
 
 
 def unit_triangle(rng, n, lower, spread=1.0):
@@ -621,29 +624,30 @@ class TestSeedCertificate:
     decades=st.floats(min_value=-17.0, max_value=1.0),
 )
 def test_neumann_bound_of_a_held_inverse(n, seed, spread, decades):
-    """A certificate bounds ||f^-1|| of the accepted triangle f from the
-    inverse its corrector's base g holds, as frechet holds it (the reversed
-    lower form), by ||g^-1|| / (1 - ||g^-1|| ||f - g||), within the rounding
-    of the inversion it replaces. Where that product, rounded up, is 1 or
-    more, it falls back to inverting f."""
+    """A certificate bounds ||f^-1|| of the accepted factor's triangle f
+    from the base held at its corrector's guess, whose triangle is g, by
+    ||g^-1|| / (1 - ||g^-1|| ||f - g||), within the rounding of the
+    inversion it replaces. Where that product, rounded up, is 1 or more, it
+    reads the accepted factor's own base, formed then and held: its norm,
+    bit for bit."""
     rng = np.random.default_rng(seed)
     g = unit_triangle(rng, n, False, spread) * 10.0 ** rng.uniform(-1.0, 1.0, n)
     delta = np.triu(rng.standard_normal((n, n))) * 10.0**decades * hs_norm(g)
-    f = g + delta
-    held = _upper_inverse(g.T[::-1, ::-1])
+    near, fac = QRPair._own(np.eye(n), g), QRPair._own(np.eye(n), g + delta)
+    (held,) = frechet._held(near)
     inverted = []
 
     def counted(t):
         inverted.append(t)
         return _upper_inverse(t)
 
-    with mock.patch.object(newton, "_upper_inverse", counted):
-        bound = newton._inverse_norm(f, g, held)
-    exact = hs_norm(_upper_inverse(f))
-    product = hs_norm(held) * hs_norm(f - g)
+    with mock.patch.object(frechet, "_upper_inverse", counted):
+        (bound,) = newton._inverse_norms(fac, near)
+    exact = hs_norm(_upper_inverse(fac.r.T[::-1, ::-1]))
+    product = hs_norm(held) * hs_norm(fac.r - g)
     if product < 1.0:
         assert bound * (1.0 + newton._roundoff(n)) >= exact
     if product * (1.0 + newton._roundoff(n)) < 1.0:  # the product rounded up
-        assert inverted == []
+        assert inverted == [] and fac._inverses is None
     else:
-        assert len(inverted) == 1 and bound == exact
+        assert len(inverted) == 1 and bound == hs_norm(fac._inverses[0]) == exact

@@ -58,6 +58,10 @@ class TestCSV:
         out = matrix_from_csv("1,2\n3,4\n")
         assert out.shape == (2, 2)
 
+    def test_blank_lines_are_skipped(self):
+        out = matrix_from_csv("1,2\n\n  \n3,4\n\n")
+        assert np.array_equal(out, [[1.0, 2.0], [3.0, 4.0]])
+
     @pytest.mark.parametrize(
         "text",
         [

@@ -2,7 +2,7 @@ import weakref
 
 import numpy as np
 import pytest
-from conftest import random_diag_shifted, random_spd, random_square, recording
+from conftest import random_diag_shifted, random_spd, random_square, recording, shifted_pair
 
 from factordiff import (
     DEFAULT_TOLERANCES,
@@ -342,6 +342,24 @@ class TestStepHalving:
         with pytest.raises(NoConvergence, match="correction failed at t=0.515625 after 4 step halvings"):
             track_qr(path)
 
+    @pytest.mark.parametrize(
+        "turn, inversions", [(2.0, 16), (3.0, 20)], ids=["retraction", "negative-diagonal"]
+    )
+    def test_halving_reuses_each_samples_base(self, monkeypatch, turn, inversions):
+        # each prediction steps on the held base of the sample it starts
+        # from, so the three from t = 0 invert nothing beyond the seed's
+        # certificate; a prediction that formed a base of its own made 20
+        # and 24 inversions
+        inverse, inverted = np.linalg.inv, []
+
+        def counted(t):
+            inverted.append(len(t))
+            return inverse(t)
+
+        monkeypatch.setattr(np.linalg, "inv", counted)
+        track_qr(PathSpec(lambda t: _rotation(turn * t) @ self.scale, steps=1))
+        assert len(inverted) == inversions
+
     @pytest.mark.parametrize("turn", [2.0, 3.0], ids=["retraction", "negative-diagonal"])
     def test_halving_samples_each_t_once(self, turn):
         # the one step is taken in quarters; re-sampling the right end of
@@ -396,15 +414,15 @@ class TestQuadraticPredictor:
     @staticmethod
     def _guesses(monkeypatch, turn, steps):
         """The t of each sample that track_qr accepts on R(turn(t)) S, with
-        whether the derivative step predicted it: a public derivative solve
-        ran outside the corrector since the previous correction."""
-        solve, correct = newton.qr_derivative_solve, newton.qr_newton_correct
+        whether the derivative step predicted it: a step ran outside the
+        corrector since the previous correction."""
+        step, correct = newton._step, newton.qr_newton_correct
         state = {"correcting": False, "stepped": False}
         accepted = []
 
-        def solved(*args):
+        def watched(*args):
             state["stepped"] |= not state["correcting"]
-            return solve(*args)
+            return step(*args)
 
         def corrected(a, guess, cfg, max_iters=20):
             stepped, state["stepped"], state["correcting"] = state["stepped"], False, True
@@ -415,7 +433,7 @@ class TestQuadraticPredictor:
             accepted.append((a, stepped))
             return fac, it
 
-        monkeypatch.setattr(newton, "qr_derivative_solve", solved)
+        monkeypatch.setattr(newton, "_step", watched)
         monkeypatch.setattr(newton, "qr_newton_correct", corrected)
 
         def family(t):
@@ -567,39 +585,62 @@ def test_sample_stream_holds_at_most_the_history(kind):
     assert all(ref() is None for ref in refs)
 
 
+def _inversions(monkeypatch):
+    """A list that grows by one per triangle frechet inverts."""
+    inverse, inverted = frechet._upper_inverse, []
+
+    def upper_inverse(t):
+        inverted.append(len(t))
+        return inverse(t)
+
+    monkeypatch.setattr(frechet, "_upper_inverse", upper_inverse)
+    return inverted
+
+
 def test_a_sample_after_the_second_prepares_one_base(monkeypatch):
-    """On a 16-step n = 64 linear LDU path of the benchmark's family, every
-    sample from the third on corrects its extrapolated guess on one base,
-    the inverses of l and u formed once, and its certificate bounds them
-    from that base without inverting the accepted factor."""
-    n, rng = 64, np.random.default_rng(64)
-    g0, g1 = rng.standard_normal((2, n, n))
-    shift = 1.0 + max(np.linalg.norm(g0, 2), np.linalg.norm(g1, 2)) / np.sqrt(n)
-    a0, a1 = g0 / np.sqrt(n) + shift * np.eye(n), g1 / np.sqrt(n) + shift * np.eye(n)
-    path = PathSpec(lambda t: (1.0 - t) * a0 + t * a1, steps=16)
-    calls = {"prepare": 0, "certificate": 0}
+    """On a 16-step n = 64 linear path of the benchmark's family, every
+    sample from the third on corrects its extrapolated guess on one base
+    (LDU, the inverses of l and u formed once) or two (QR, r^-1 at the guess
+    and at its first iterate), and its certificate bounds the inverses from
+    that base without inverting the accepted factor."""
+    a0, a1 = shifted_pair(np.random.default_rng(64), 64)
+    path, inverted = PathSpec(lambda t: (1.0 - t) * a0 + t * a1, steps=16), _inversions(monkeypatch)
+    for kind, triangles in (("qr", 1), ("ldu", 2)):
+        per_sample = []
+        for _record in newton._samples(newton._MAPS[kind], path, DEFAULT_TOLERANCES):
+            per_sample.append(len(inverted))
+            inverted.clear()
+        # the seed's certificate forms the seed's base; sample 1 predicts on
+        # it, and sample 2 on sample 1's; each corrector prepares two bases
+        assert per_sample == [triangles * k for k in (1, 2, 3)] + [2] * 14
 
-    def counted(module, name):
-        inverse = module._upper_inverse
 
-        def upper_inverse(t):
-            calls[name] += 1
-            return inverse(t)
+@pytest.mark.parametrize("kind", ["qr", "cholesky", "ldu"])
+def test_the_seed_base_serves_the_first_prediction(monkeypatch, kind):
+    """The certificate at t = 0 forms the seed factor's own base and leaves
+    it held; the derivative step that predicts sample 1 steps from the seed
+    on that base and inverts no triangle."""
+    g = np.random.default_rng(9).standard_normal((8, 8))
+    end = g @ g.T / 8.0 + np.eye(8) if kind == "cholesky" else g / np.sqrt(8) + 3.0 * np.eye(8)
+    path = PathSpec(lambda t: (1.0 - t) * np.eye(8) + t * end, steps=4)
+    inverted, step, predicted = _inversions(monkeypatch), newton._step, []
 
-        monkeypatch.setattr(module, "_upper_inverse", upper_inverse)
+    def stepped(m, fac, e, cfg, base=None):
+        if base is not None:  # a corrector's step
+            return step(m, fac, e, cfg, base)
+        before = len(inverted)
+        out = step(m, fac, e, cfg)
+        predicted.append((fac, len(inverted) - before))
+        return out
 
-    counted(frechet, "prepare")
-    counted(newton, "certificate")
-    per_sample = []
-    for _record in newton._samples(newton._MAPS["ldu"], path, DEFAULT_TOLERANCES):
-        per_sample.append(dict(calls))
-        calls.update(prepare=0, certificate=0)
-    assert len(per_sample) == 17
-    # the seed's certificate inverts its factor; at the two derivative steps
-    # the public solve prepares its own base, and the corrector prepares again
-    assert per_sample[0] == {"prepare": 0, "certificate": 2}
-    assert all(c["prepare"] > 2 and c["certificate"] == 0 for c in per_sample[1:3])
-    assert per_sample[3:] == [{"prepare": 2, "certificate": 0}] * 14
+    monkeypatch.setattr(newton, "_step", stepped)
+    samples = newton._samples(newton._MAPS[kind], path, DEFAULT_TOLERANCES)
+    seed = next(samples)[1]
+    held = seed._inverses
+    assert held is not None and len(held) == len(seed._lower())
+    next(samples)
+    assert predicted == [(seed, 0)]
+    assert seed._inverses is held
 
 
 @pytest.mark.parametrize(
@@ -622,6 +663,19 @@ def test_a_held_base_meets_each_calls_singularity_test(correct, factor, symmetri
     assert guess._inverses is not None
     with pytest.raises(error):
         correct(a, guess, strict)
+
+
+def test_a_prediction_steps_from_the_kernels_q_at_any_structural_tol():
+    # the public solve tests q's orthogonality again, and under
+    # structural_tol=1e-16 refuses qr_factor's own q; a prediction through it
+    # failed with that ShapeError, a step rejection that the tracker halved
+    rng = np.random.default_rng(0)
+    a0, a1 = rng.standard_normal((2, 6, 6)) + 3.0 * np.eye(6)
+    cfg = ToleranceConfig(structural_tol=1e-16)
+    seed = qr_factor(a0, cfg)
+    with pytest.raises(ShapeError, match="q is not orthogonal"):
+        qr_derivative_solve(seed.q, seed.r, a1 - a0, cfg)
+    assert isinstance(newton._step(newton._MAPS["qr"], seed, 0.25 * (a1 - a0), cfg), QRPair)
 
 
 def test_a_refused_seed_keeps_the_kernels_error(monkeypatch):

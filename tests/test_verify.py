@@ -132,6 +132,19 @@ class TestCheckArguments:
         assert not res.passed
         assert res.worst_violation == 2e-08
 
+    def test_singular_draws_pass(self, monkeypatch):
+        # an all-ones draw at n >= 2 is singular and outside P: the QR check
+        # skips its uniqueness clause for it, and the LDU check finds the
+        # kernel's refusal where the determinants put it
+        square = verify._random_square
+
+        def ones(rng, n):
+            return np.ones((n, n)) if n >= 2 else square(rng, n)
+
+        monkeypatch.setattr(verify, "_random_square", ones)
+        assert check_qr_existence_uniqueness(trials=20, n_max=6, seed=42).passed
+        assert check_ldu_domain_characterization(trials=20, n_max=6, seed=13).passed
+
     @pytest.mark.parametrize(
         "check, least",
         [

@@ -2,12 +2,14 @@
 
     python tests/track_memory.py
 
-runs `python -m factordiff track --kind qr` and `--kind ldu` on the n = 128
-linear family from I to g/sqrt(n) + 3I (g standard normal from
-random.Random(n)) at 16 and at 1,024 steps, prints each run's peak RSS, and
-exits 1 unless, for each kind, the peak at 1,024 steps is within 10 MB of
-the peak at 16 steps. An LDU guess holds two prepared inverses, so a base
-kept past its sample would show as growth.
+runs `python -m factordiff track` for each kind on an n = 128 linear family
+from I, to g/sqrt(n) + 3I for `--kind qr` and `--kind ldu` and to its
+symmetric part, which is positive definite, for `--kind cholesky` (g
+standard normal from random.Random(n)), at 16 and at 1,024 steps, prints
+each run's peak RSS, and exits 1 unless, for each kind, the peak at 1,024
+steps is within 10 MB of the peak at 16 steps. Every factor a prediction
+starts from holds its prepared base, and an LDU base holds two inverses,
+so a base kept past its sample would show as growth.
 
 A peak is the child's own ru_maxrss, as os.wait4 reads it. A child carries
 its parent's high-water RSS across exec, so this launcher imports neither
@@ -23,7 +25,7 @@ from pathlib import Path
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 N = 128
-KINDS = ("qr", "ldu")
+KINDS = ("qr", "cholesky", "ldu")
 STEPS = (16, 1024)
 SLACK_MB = 10.0
 
@@ -49,12 +51,15 @@ def main() -> int:
     rng = random.Random(N)
     eye = [[float(i == j) for j in range(N)] for i in range(N)]
     end = [[rng.gauss(0.0, 1.0) / N**0.5 + 3.0 * e for e in row] for row in eye]
+    spd = [[0.5 * (x + y) for x, y in zip(row, col)] for row, col in zip(end, zip(*end))]
     with tempfile.TemporaryDirectory() as tmp:
-        start, stop = _write(Path(tmp, "eye.csv"), eye), _write(Path(tmp, "a.csv"), end)
+        start = _write(Path(tmp, "eye.csv"), eye)
+        general, symmetric = _write(Path(tmp, "a.csv"), end), _write(Path(tmp, "spd.csv"), spd)
+        stops = {"qr": general, "cholesky": symmetric, "ldu": general}
         out = str(Path(tmp, "track.csv"))
         peaks = {
             kind: [
-                _peak_mb(["track", "--kind", kind, "--input", start, stop,
+                _peak_mb(["track", "--kind", kind, "--input", start, stops[kind],
                           "--steps", str(steps), "--output", out])
                 for steps in STEPS
             ]
