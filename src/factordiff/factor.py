@@ -2,10 +2,18 @@
 
 Three conventions are fixed here and relied on everywhere else:
 
-* QR is LAPACK's Householder QR (geqrf + orgqr through numpy) followed by a
-  sign pass so the diagonal of r is non-negative (strictly positive for
-  invertible input, where the factorization is unique). qr_factor_mgs is an
-  independent Gram-Schmidt loop kept as the uniqueness oracle.
+* QR is Householder QR followed by a sign pass so the diagonal of r is
+  non-negative (strictly positive for invertible input, where the
+  factorization is unique). Up to _QR_TAIL columns it is LAPACK's (geqrf +
+  orgqr through numpy) as is. Above, it is blocked right-looking, as in
+  geqrf: each panel of _BLOCK columns is factored by geqrf alone, its
+  reflectors v form the compact-WY block I - v t v^T (Schreiber and Van
+  Loan, 1989), with t the inverse of a unit upper triangle (the UT
+  transform; Joffrain et al., 2006) by core._upper_inverse, and three matmuls
+  apply its transpose to the trailing columns. Once the trailing block is
+  at most _QR_TAIL wide, LAPACK factors it, and q is built backwards from
+  its q, one block reflector per panel. qr_factor_mgs is an independent
+  Gram-Schmidt loop kept as the uniqueness oracle.
 * Cholesky clamps pivots within structural tolerance of zero, extending the
   factorization to the semi-definite closure. LAPACK's potrf handles inputs
   that are positive definite by a margin; the clamping loop is the fallback
@@ -51,16 +59,28 @@ __all__ = [
     "cond_estimate",
 ]
 
+# The widest block qr_factor leaves to LAPACK whole, measured on 2 vCPUs with
+# OpenBLAS 0.3.31. geqrf and orgqr run their last 128 columns unblocked, and
+# OpenBLAS splits those level-2 calls over its threads: on the default threads
+# the blocked kernel took 0.33-0.85x LAPACK's time at n = 97-256. On one thread
+# it took 0.65-0.88x at n = 112-256 and 1.09-1.21x at n = 97-100, the
+# crossover. A 64-column tail cost 1.09-1.31x at n = 97-108 on one thread, and
+# a 100- or 104-column one lost most of the default-thread gain where the last
+# tail falls in 97-104 columns. Up to this width the result is LAPACK's bit
+# for bit.
+_QR_TAIL = 3 * _BLOCK
+
 
 def qr_factor(a, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> QRPair:
     """Factor a square matrix as q @ r, q orthogonal, r upper triangular with
     non-negative diagonal.
 
     Total on square inputs, singular ones included, under any cfg: cfg is
-    unused, kept so that every kernel takes (a, cfg). LAPACK's Householder QR
-    gives q and r; a final sign pass flips rows of r and the matching columns
+    unused, kept so that every kernel takes (a, cfg). Householder QR gives q
+    and r, LAPACK's up to _QR_TAIL columns and blocked above (see the module
+    docstring); a final sign pass flips rows of r and the matching columns
     of q wherever a diagonal entry of r is negative. The pair is stored as
-    computed, with no numeric test: LAPACK's q is orthogonal to roundoff, and
+    computed, with no numeric test: Householder q is orthogonal to roundoff, and
     the sign pass leaves diag(r) >= 0 exactly. For invertible input the result
     is the unique pair with positive diagonal. For singular input only the
     product is contractual. The convention is that of LAPACK's reflector: a
@@ -69,12 +89,37 @@ def qr_factor(a, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> QRPair:
     follows. Where roundoff leaves a nonzero trailing block, the columns of q
     spanning the complement of the range follow that roundoff.
     """
+    # factored in place: a holds each panel's r on and above its diagonal,
+    # and its reflectors below it, which QRPair._own zeros
     a = validate_matrix(a, "a")
-    q, r = np.linalg.qr(a)
-    neg = r.diagonal() < 0.0
-    if neg.any():
-        r[neg, :] = -r[neg, :]
-        q[:, neg] = -q[:, neg]
+    n = len(a)
+    panels = []
+    k0 = 0
+    while n - k0 > _QR_TAIL:
+        k1 = k0 + _BLOCK
+        h, tau = np.linalg.qr(a[k0:, k0:k1], mode="raw")
+        v = h.T  # geqrf's layout; numpy returns it transposed
+        a[k0:, k0:k1] = v
+        _impose(v[:_BLOCK], "unit lower triangular")
+        # tau = 0, the identity reflector of a zero sub-column, is exact here
+        t = _upper_inverse(_impose(tau[:, None] * (v.T @ v), "unit upper triangular")) * tau
+        c = a[k0:, k1:]
+        c -= v @ (t.T @ (v.T @ c))
+        panels.append((k0, v, t))
+        k0 = k1
+    q, r = np.linalg.qr(a[k0:, k0:])
+    if panels:
+        a[k0:, k0:] = r
+        r = a
+        tail, q = q, np.eye(n)
+        q[k0:, k0:] = tail
+        for k0, v, t in reversed(panels):
+            x = q[k0:, k0:]
+            x -= v @ (t @ (v.T @ x))
+    # x * -1.0 is -x to the bit, signed zeros included, and x * 1.0 is x
+    sign = np.where(r.diagonal() < 0.0, -1.0, 1.0)
+    r *= sign[:, None]
+    q *= sign
     return QRPair._own(q, r)
 
 

@@ -89,11 +89,11 @@ def _base(container, *parts, **rest) -> tuple:
     return out
 
 
-def solve_triangular(t, c, inverse):
-    """x with t @ x = c for lower-triangular t with a nonzero diagonal,
-    solved as t[::-1, ::-1] @ x[::-1] = c[::-1], which is upper triangular:
-    one matmul by inverse, the reversal's inverse as _held prepares it,
-    applied to a contiguous copy of c reversed."""
+def solve_triangular(c, inverse):
+    """x with t @ x = c for a lower-triangular t with a nonzero diagonal,
+    given inverse, that of t's reversal t[::-1, ::-1] as _held prepares it:
+    the upper system t[::-1, ::-1] @ x[::-1] = c[::-1], solved by one matmul
+    by inverse applied to a contiguous copy of c reversed."""
     return (inverse @ np.ascontiguousarray(c[::-1]))[::-1]
 
 
@@ -132,7 +132,7 @@ def _qr_prepare(fac: QRPair, cfg: ToleranceConfig) -> tuple:
 def _qr_apply(fac: QRPair, inverses: tuple, e: np.ndarray) -> QRTangent:
     q, r = fac.q, fac.r
     # q^T u is skew by construction; QRTangent's test could refuse it near its edge
-    s, t = _split_skew_upper(solve_triangular(r.T, (q.T @ e).T, *inverses).T)
+    s, t = _split_skew_upper(solve_triangular((q.T @ e).T, *inverses).T)
     return QRTangent._own(q @ s, t @ r, q)
 
 
@@ -168,7 +168,7 @@ def _cholesky_prepare(fac: CholeskyFactor, cfg: ToleranceConfig) -> tuple:
 
 def _cholesky_apply(fac: CholeskyFactor, inverses: tuple, e: np.ndarray) -> np.ndarray:
     l = fac.l
-    m = solve_triangular(l, solve_triangular(l, e, *inverses).T, *inverses).T
+    m = solve_triangular(solve_triangular(e, *inverses).T, *inverses).T
     # the two solves break exact symmetry at roundoff; restored exactly, m
     # needs no symmetry test, but an overflow must still refuse the step
     m = 0.5 * (m + m.T)
@@ -211,7 +211,7 @@ def _ldu_prepare(fac: LDUTriple, cfg: ToleranceConfig) -> tuple:
 def _ldu_apply(fac: LDUTriple, inverses: tuple, e: np.ndarray) -> LDUTangent:
     l, u, dvec = fac.l, fac.u, fac.d.diagonal()
     left, right = inverses
-    m = solve_triangular(u.T, solve_triangular(l, e, left).T, right).T
+    m = solve_triangular(solve_triangular(e, left).T, right).T
     ml, md, mu = _split_lower_diag_upper(m)
     return LDUTangent._own((l @ ml) / dvec[None, :], md, (mu / dvec[:, None]) @ u)
 

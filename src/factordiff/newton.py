@@ -557,7 +557,10 @@ def _advance(m, path, cfg, history, prev, nxt, depth):
 def _samples(m: _FactorMap, path: PathSpec, cfg: ToleranceConfig):
     """Yield (t, factor, iterations, residual, component norms) at each t =
     i / steps once accepted. It holds the history, a(0) and the last sample,
-    so a consumer that drops each record tracks in memory flat in steps."""
+    so a consumer that drops each record tracks in memory flat in steps. A
+    factor's held base is dropped once the next sample has been yielded: a
+    halving restarts only from the latest sample, and the extrapolant reads
+    only values, so a consumer that keeps every factor keeps one base."""
     _, a = prev = _sample(path, 0.0)
     try:  # at t = 0 the kernel is the corrector, and its refusal a failed step
         current = m.factor(a, cfg)
@@ -571,9 +574,12 @@ def _samples(m: _FactorMap, path: PathSpec, cfg: ToleranceConfig):
     for i in range(path.steps + 1):
         if i:
             nxt = _sample(path, i / path.steps, a.shape)
+            last = current
             current, spent, residual = _advance(m, path, cfg, history, prev, nxt, _MAX_HALVINGS)
             prev = nxt
         yield prev[0], current, spent, residual, [hs_norm(p) for p in m.parts(current)]
+        if i:
+            last._inverses = None
 
 
 def _track(m: _FactorMap, path: PathSpec, cfg: ToleranceConfig) -> TrackReport:

@@ -1,4 +1,4 @@
-"""Output digests: three sha256 values that a change meant to keep every
+"""Output digests: four sha256 values that a change meant to keep every
 output byte must leave equal.
 
     OPENBLAS_NUM_THREADS=1 python tests/digests.py
@@ -20,7 +20,11 @@ prints, one per line:
   A NoConvergence or PathLeavesDomain is hashed by its repr;
 - cli: exit code, stdout and stderr of 15 CLI runs at n=6 (factor,
   derivative and track per map, plus factor of and track from a zero
-  matrix per map), then the name and bytes of every file they leave.
+  matrix per map), then the name and bytes of every file they leave;
+- kernels: each slot's bytes of qr_factor and ldu_factor on g/sqrt(n) + 3I
+  and of cholesky_factor on g g^T + I, g standard normal from
+  default_rng(n), at n in {128, 256}, where qr_factor and ldu_factor run
+  blocked.
 
 Run it on two checkouts with one BLAS thread, as the digests were taken.
 It imports factordiff from the src/ next to this file, and pytest does not
@@ -43,6 +47,9 @@ from factordiff import (  # noqa: E402
     NoConvergence,
     PathLeavesDomain,
     PathSpec,
+    cholesky_factor,
+    ldu_factor,
+    qr_factor,
     track_cholesky,
     track_ldu,
     track_qr,
@@ -66,10 +73,14 @@ def verify_digest() -> str:
         return hashlib.sha256(Path(tmp, "report.json").read_bytes()).hexdigest()
 
 
+def _hash_factor(h, fac) -> None:
+    for name in fac.__slots__:
+        h.update(getattr(fac, name).tobytes())
+
+
 def _hash_report(h, report) -> None:
     for fac in report.factors:
-        for name in fac.__slots__:
-            h.update(getattr(fac, name).tobytes())
+        _hash_factor(h, fac)
     fields = (report.ts, report.newton_iters, report.factor_norms, report.residuals)
     h.update(repr((*fields, report.max_residual)).encode())
 
@@ -151,7 +162,18 @@ def cli_digest() -> str:
     return h.hexdigest()
 
 
+def kernels_digest() -> str:
+    h = hashlib.sha256()
+    for n in (128, 256):
+        g = np.random.default_rng(n).standard_normal((n, n))
+        square, spd = g / np.sqrt(n) + 3.0 * np.eye(n), g @ g.T + np.eye(n)
+        for kernel, a in ((qr_factor, square), (cholesky_factor, spd), (ldu_factor, square)):
+            _hash_factor(h, kernel(a))
+    return h.hexdigest()
+
+
 if __name__ == "__main__":
     print("verify", verify_digest())
     print("track", track_digest())
     print("cli", cli_digest())
+    print("kernels", kernels_digest())

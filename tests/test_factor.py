@@ -17,6 +17,7 @@ from factordiff import (
     NotInDomainP,
     NotPositiveSemiDefinite,
     NotSymmetric,
+    ShapeError,
     SingularInput,
     cholesky_factor,
     cond_estimate,
@@ -320,7 +321,9 @@ class TestReferenceAgreement:
             for got, ref in pairs:
                 assert hs_norm(got - ref) <= factor_tol(n, hs_norm(ref))
 
-    @pytest.mark.parametrize("n", AGREEMENT_SIZES)
+    # qr_factor's own edges too: its last LAPACK-only size, its first blocked
+    # one, and one panel either side of 128
+    @pytest.mark.parametrize("n", sorted({*AGREEMENT_SIZES, 96, 97, 127, 129, 160}))
     def test_qr_matches_householder_loop(self, n):
         a = random_invertible(np.random.default_rng([103, n]), n)
         pair = qr_factor(a)
@@ -347,6 +350,66 @@ class TestReferenceAgreement:
             ldu_unblocked(a)
         assert ref.value.k == k
         assert not in_domain_p(a)
+
+
+def lapack_qr(a):
+    """np.linalg.qr with qr_factor's sign pass: each row of r whose diagonal
+    entry is negative, and the matching column of q, negated."""
+    q, r = np.linalg.qr(a)
+    sign = np.where(r.diagonal() < 0.0, -1.0, 1.0)
+    return q * sign, np.triu(r * sign[:, None])
+
+
+class TestQRBlocked:
+    """qr_factor above 96 columns: 32-column panels, each applied to the
+    trailing columns and to q as one block reflector."""
+
+    @pytest.mark.parametrize("n", [1, 32, 64, 96])
+    def test_lapack_bits_up_to_the_tail(self, n):
+        a = random_square(np.random.default_rng([211, n]), n)
+        pair = qr_factor(a)
+        q, r = lapack_qr(a)
+        assert pair.q.tobytes() == q.tobytes()
+        assert pair.r.tobytes() == r.tobytes()
+
+    # no power of two rounds: the panels, their reflectors and each block
+    # update scale exactly, so q is the same to the bit
+    @pytest.mark.parametrize("n", [130, 256])
+    @pytest.mark.parametrize("k", [1, 40, 300, 500])
+    def test_powers_of_two_are_exact(self, n, k):
+        a = random_square(np.random.default_rng([213, n]), n)
+        pair, scaled = qr_factor(a), qr_factor(2.0**k * a)
+        assert scaled.q.tobytes() == pair.q.tobytes()
+        assert scaled.r.tobytes() == (2.0**k * pair.r).tobytes()
+
+    def test_zero_matrix(self):
+        pair = qr_factor(np.zeros((130, 130)))
+        assert np.array_equal(pair.q, np.eye(130))
+        assert np.array_equal(pair.r, np.zeros((130, 130)))
+
+    # each zero sub-column gets the identity reflector, tau = 0, whether it
+    # starts a panel, ends one or falls inside one
+    @pytest.mark.parametrize("n", [130, 256])
+    @pytest.mark.parametrize(
+        "cols", [[0], [31], [32], [33], [64], [100], [0, 31, 32, 33, 64, 100]],
+        ids=["0", "31", "32", "33", "64", "100", "all"],
+    )
+    def test_zero_columns_at_panel_edges(self, n, cols):
+        a = random_square(np.random.default_rng([217, n, len(cols)]), n)
+        a[:, cols] = 0.0
+        pair = qr_factor(a)
+        assert orthogonality_defect(pair.q) <= factor_tol(n, hs_norm(pair.q))
+        assert (pair.r.diagonal() >= 0.0).all()
+        assert (pair.r.diagonal()[cols] == 0.0).all()
+        assert hs_norm(pair.product() - a) <= factor_tol(n, hs_norm(a))
+
+    @pytest.mark.parametrize("n", [4, 130])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_input_is_refused(self, n, bad):
+        a = random_square(np.random.default_rng([219, n]), n)
+        a[n - 1, n // 2] = bad
+        with pytest.raises(ShapeError, match="^a contains non-finite entries$"):
+            qr_factor(a)
 
 
 class TestLeadingMinorDets:

@@ -173,7 +173,7 @@ class TestCholeskyDerivative:
         l = cholesky_factor(random_spd(rng, n)).l
         e = random_symmetric(rng, n)
         inverse = _upper_inverse(l[::-1, ::-1])
-        m = solve_triangular(l, solve_triangular(l, e, inverse).T, inverse).T
+        m = solve_triangular(solve_triangular(e, inverse).T, inverse).T
         expected = l @ sym_to_lower(0.5 * (m + m.T))
         assert cholesky_derivative_solve(l, e).tobytes() == expected.tobytes()
 
@@ -359,7 +359,7 @@ def prepared(t):
 class TestSolveTriangular:
     """The triangular solves inside the derivative solves against plain
     forward/back substitution (tests/reference_kernels.py): a lower t on the
-    left, and an upper r on the right, solved as solve_triangular(r.T, c.T,
+    left, and an upper r on the right, solved as solve_triangular(c.T,
     prepared(r.T)).T.
     Each triangle is taken as drawn and reversed (`oriented`)."""
 
@@ -371,7 +371,7 @@ class TestSolveTriangular:
         t = oriented(lambda lower: triangular(rng, n, lower, diag), True, order)
         c = rng.uniform(-1.0, 1.0, (n, 3))
         want = substitute(t, c, lower=True)
-        got = solve_triangular(t, c, prepared(t))
+        got = solve_triangular(c, prepared(t))
         assert hs_norm(got - want) <= solve_tol(t) * hs_norm(want)
 
     @pytest.mark.parametrize("n", [1, 2, 33, 128])
@@ -382,7 +382,7 @@ class TestSolveTriangular:
         r = oriented(lambda lower: triangular(rng, n, lower, diag), False, order)
         c = rng.uniform(-1.0, 1.0, (3, n))
         want = substitute(r.T, c.T, lower=True).T
-        got = solve_triangular(r.T, c.T, prepared(r.T)).T
+        got = solve_triangular(c.T, prepared(r.T)).T
         assert hs_norm(got - want) <= solve_tol(r) * hs_norm(want)
 
     @pytest.mark.parametrize("n", [2, 5, 8])
@@ -392,9 +392,9 @@ class TestSolveTriangular:
         t = oriented(lambda lower: pivot_bait(rng, n, lower), True, order)
         r = oriented(lambda lower: pivot_bait(rng, n, lower), False, order)
         c = rng.integers(-9, 10, (n, 3)).astype(float)
-        assert np.array_equal(solve_triangular(t, c, prepared(t)), substitute(t, c, lower=True))
+        assert np.array_equal(solve_triangular(c, prepared(t)), substitute(t, c, lower=True))
         assert np.array_equal(
-            solve_triangular(r.T, c, prepared(r.T)).T, substitute(r.T, c, lower=True).T
+            solve_triangular(c, prepared(r.T)).T, substitute(r.T, c, lower=True).T
         )
 
 
@@ -432,7 +432,7 @@ class TestSolveTriangularBlocks:
         t = oriented(lambda lower: graded_within(rng, n, lower, where), True, order)
         c = rng.uniform(-1.0, 1.0, (n, 5))
         want = substitute(t, c, lower=True)
-        got = solve_triangular(t, c, prepared(t))
+        got = solve_triangular(c, prepared(t))
         assert hs_norm(got - want) <= solve_tol(t) * hs_norm(want)
         if n <= 32:
             assert np.array_equal(got, gesv(t, c))
@@ -445,7 +445,7 @@ class TestSolveTriangularBlocks:
         r = oriented(lambda lower: graded_within(rng, n, lower, where), False, order)
         c = rng.uniform(-1.0, 1.0, (5, n))
         want = substitute(r.T, c.T, lower=True).T
-        got = solve_triangular(r.T, c.T, prepared(r.T)).T
+        got = solve_triangular(c.T, prepared(r.T)).T
         assert hs_norm(got - want) <= solve_tol(r) * hs_norm(want)
         if n <= 32:
             assert np.array_equal(got, gesv(r.T, c.T).T)
@@ -458,7 +458,7 @@ class TestSolveTriangularBlocks:
         t = oriented(lambda lower: triangular(rng, n, lower, "well"), True, order)
         c = rng.uniform(-1.0, 1.0, (n, n))
         want = substitute(t, c, lower=True)
-        assert hs_norm(solve_triangular(t, c, prepared(t)) - want) <= solve_tol(t) * hs_norm(want)
+        assert hs_norm(solve_triangular(c, prepared(t)) - want) <= solve_tol(t) * hs_norm(want)
 
 
 def test_tracking_loads_no_scipy():

@@ -616,6 +616,26 @@ def test_a_sample_after_the_second_prepares_one_base(monkeypatch):
 
 
 @pytest.mark.parametrize("kind", ["qr", "cholesky", "ldu"])
+def test_a_report_holds_at_most_the_last_base(kind):
+    """Once the next sample is yielded, no step reads a factor's held base
+    again, so a TrackReport, which keeps every factor, keeps at most the
+    last sample's base."""
+    g = np.random.default_rng(11).standard_normal((8, 8))
+    end = g @ g.T / 8.0 + np.eye(8) if kind == "cholesky" else g / np.sqrt(8) + 3.0 * np.eye(8)
+    track = {"qr": track_qr, "cholesky": track_cholesky, "ldu": track_ldu}[kind]
+    report = track(PathSpec(lambda t: (1.0 - t) * np.eye(8) + t * end, steps=8))
+    assert len(report.factors) == 9
+    assert all(fac._inverses is None for fac in report.factors[:-1])
+
+
+def test_a_halving_report_holds_at_most_the_last_base():
+    # the one step halves twice, and each halving steps on a held base
+    s = np.diag([1.0, 2.0])
+    report = track_qr(PathSpec(lambda t: _rotation(3.0 * t) @ s, steps=1))
+    assert report.factors[0]._inverses is None
+
+
+@pytest.mark.parametrize("kind", ["qr", "cholesky", "ldu"])
 def test_the_seed_base_serves_the_first_prediction(monkeypatch, kind):
     """The certificate at t = 0 forms the seed factor's own base and leaves
     it held; the derivative step that predicts sample 1 steps from the seed
