@@ -13,14 +13,20 @@ inverses and a poor one gets full Newton. Each accepted factor's domain
 certificate bounds its inverse norms from that base, or from its own.
 Tracking advances a factorization along a parametrized family by
 prediction followed by Newton correction. The factor path is analytic, so
-once a run has three accepted samples, the quadratic through them predicts
-the next one with O(h^3) error and no derivative solve (the multistep
-predictor of Allgower & Georg, Introduction to Numerical Continuation
-Methods, SIAM 2003). The first-order prediction, one derivative step for
-the change in the input on the last factor's own base, runs for the first
-two steps of a run and of each halved interval, and whenever the
-extrapolated guess or its correction fails. When that fails too, the step
-halves (up to four times per interval).
+once a run has three accepted samples, the polynomial through its last
+ones (up to _HISTORY of them) predicts the next with no derivative solve
+(the multistep predictor of Allgower & Georg, Introduction to Numerical
+Continuation Methods, SIAM 2003). It is held in Newton's divided-difference
+form, updated once per accepted sample, and its order is chosen per
+sample: from the quadratic on, the next term joins while the terms' norms
+keep shrinking, as the first omitted term estimates the error. Equal
+samples give differences of exactly zero, so a constant path is predicted
+exactly. The first-order prediction, one derivative step for the change
+in the input on the last factor's own base, runs for the first two steps
+of a run and of each halved interval (a halving restarts the history at
+its left sample), and whenever the extrapolated guess or its correction
+fails. When that fails too, the step halves (up to four times per
+interval).
 
 The three maps differ only in their pieces (container, whose product() is
 the map, kernel, derivative solve and apply, prepared base, settling onto
@@ -49,6 +55,7 @@ from .core import (
     _scaled,
     _singular_d,
     _symmetric,
+    _zeros,
     hs_norm,
     validate_matrix,
 )
@@ -95,7 +102,12 @@ __all__ = [
 ]
 
 _MAX_HALVINGS = 4
-_HISTORY = 3  # accepted samples the predictor extrapolates through: a quadratic
+# The most accepted samples the predictor extrapolates through: degree 7.
+# Through equispaced knots, the extrapolant's weights at the next knot sum
+# in magnitude to 2^8 - 1 = 255, so it carries the samples' rounding to
+# ~6e-14 relative, below structural_tol; the order rule stops it earlier
+# wherever the path's terms stop shrinking.
+_HISTORY = 8
 _STEP_FAILURES = (
     NoConvergence,
     ConvergedOutsideChart,
@@ -498,40 +510,113 @@ def _sample(path: PathSpec, t: float, shape=None) -> tuple:
     return t, a
 
 
-def _extrapolated(m: _FactorMap, history: list, t: float, cfg: ToleranceConfig):
-    """The guess at t from the accepted samples (t_i, factor_i) in history:
-    the Lagrange polynomial through them, taken per component, settled and
-    vetted as a step's iterate is."""
-    knots = [s for s, _ in history]
-    weights = [math.prod((t - s) / (k - s) for s in knots if s != k) for k in knots]
-    columns = zip(*(m.parts(fac) for _, fac in history))
-    return _vetted(m, (sum(w * p for w, p in zip(weights, c)) for c in columns), cfg)
+class _History:
+    """The run's last accepted samples, at most _HISTORY of them, held as
+    the Newton form of the polynomial through them: knots newest first, and
+    terms[j] the divided difference f[knots[0], ..., knots[j]] of their
+    factors, each a vector of the parts' structural entries (those their
+    shapes do not hold at zero). Each accepted sample updates every
+    difference once, in place; equal samples give differences that are
+    exactly zero, so a constant path is extrapolated exactly. last is the
+    latest factor itself, which a derivative step starts from."""
+
+    def __init__(self, m: _FactorMap, t: float, fac):
+        n, self.spans, self.size = fac.n, [], 0
+        for shape in m.container._shapes:  # a square part is held whole, without an index pass
+            zeros = _zeros(n, shape)
+            held = None if zeros is None else np.flatnonzero(~zeros)
+            self.spans.append((self.size, held))
+            self.size += n * n if held is None else len(held)
+        self.m, self.n = m, n
+        self.knots, self.terms, self.last = [t], [self._packed(fac)], fac
+
+    def _packed(self, fac) -> np.ndarray:
+        out = np.empty(self.size)
+        for part, (start, held) in zip(self.m.parts(fac), self.spans):
+            if held is None:
+                out[start : start + part.size].reshape(part.shape)[...] = part
+            else:
+                np.take(part, held, out=out[start : start + len(held)])
+        return out
+
+    def _parts(self, packed: np.ndarray):
+        n = self.n
+        for start, held in self.spans:
+            if held is None:
+                yield packed[start : start + n * n].reshape(n, n)
+            else:
+                part = np.zeros(n * n)
+                part[held] = packed[start : start + len(held)]
+                yield part.reshape(n, n)
+
+    def accept(self, t: float, fac) -> None:
+        """Add the accepted sample (t, fac) and drop the oldest past
+        _HISTORY: f[t, k_0..k_j] = (f[t, k_0..k_j-1] - f[k_0..k_j]) / (t - k_j),
+        written over f[k_0..k_j], which nothing reads again."""
+        terms = [self._packed(fac)]
+        for s, old in zip(self.knots[: _HISTORY - 1], self.terms):
+            np.subtract(terms[-1], old, out=old)
+            old *= 1.0 / (t - s)  # a vector divide costs three multiplies
+            terms.append(old)
+        self.knots = [t, *self.knots[: _HISTORY - 1]]
+        self.terms, self.last = terms, fac
+
+    def restart(self) -> None:
+        """Keep only the latest sample, as a halved interval starts."""
+        del self.knots[1:], self.terms[1:]
+
+    def guess(self, t: float, cfg: ToleranceConfig):
+        """The extrapolant at t, settled and vetted as a step's iterate is.
+        Term j is w_j terms[j], w_j = (t - knots[0]) ... (t - knots[j-1]),
+        and the first omitted term estimates the error: from the quadratic
+        on, the next term is added only while the terms' norms keep
+        shrinking. Needs three samples."""
+        knots, terms = self.knots, self.terms
+        weights = [1.0]
+        for s in knots[:-1]:
+            weights.append(weights[-1] * (t - s))
+
+        def size(j):
+            return abs(weights[j]) * math.sqrt(np.dot(terms[j], terms[j]))
+
+        order, last = 2, size(2)
+        while order + 1 < len(terms):
+            nxt = size(order + 1)
+            if not nxt < last:
+                break
+            order, last = order + 1, nxt
+        # Horner: terms[0] + (t - k_0) (terms[1] + (t - k_1) (terms[2] + ...))
+        value = terms[order] * (t - knots[order - 1])
+        for j in range(order - 1, 0, -1):
+            value += terms[j]
+            value *= t - knots[j - 1]
+        value += terms[0]
+        return _vetted(self.m, self._parts(value), cfg)
 
 
-def _advance(m, path, cfg, history, prev, nxt, depth):
+def _advance(m, path, cfg, history: _History, prev, nxt, depth):
     """The factor at sample nxt = (t, a), reached from prev, the sample of
-    the last factor in history, its worst iteration count and its residual.
+    history's last factor, its worst iteration count and its residual.
 
-    history holds the run's last accepted samples (t, factor), oldest first;
-    each accepted sample joins it. Once it holds _HISTORY of them, their
-    extrapolant is the guess, and the derivative step from the last factor
-    runs only when that guess, or its correction, fails. A halving samples
-    only its midpoint and restarts history at its left sample. A corrected
-    factor that its certificate does not prove, and a failed step, get the
-    exact domain test of nxt."""
+    Once history holds three samples, its extrapolant is the guess, and the
+    derivative step from the last factor runs only when that guess, or its
+    correction, fails. Each accepted sample joins history. A halving
+    samples only its midpoint and restarts history at its left sample. A
+    corrected factor that its certificate does not prove, and a failed
+    step, get the exact domain test of nxt."""
     (t_prev, a_prev), (t_next, a_next) = prev, nxt
     corrected = None
     # an overflowed iterate is a failed step: _own refuses non-finite parts
     with np.errstate(over="ignore", invalid="ignore"):
-        if len(history) == _HISTORY:
+        if len(history.knots) >= 3:
             try:
-                guess = _extrapolated(m, history, t_next, cfg)
+                guess = history.guess(t_next, cfg)
                 corrected, spent = m.correct(a_next, guess, cfg)
             except _STEP_FAILURES:
                 pass
         if corrected is None:
             try:
-                guess = _step(m, history[-1][1], a_next - a_prev, cfg)
+                guess = _step(m, history.last, a_next - a_prev, cfg)
                 corrected, spent = m.correct(a_next, guess, cfg)
             except _STEP_FAILURES:
                 pass
@@ -539,15 +624,15 @@ def _advance(m, path, cfg, history, prev, nxt, depth):
         residual = hs_norm(a_next - corrected.product())
         if not m.certificate(a_next, corrected, residual, cfg, guess):
             m.domain(a_next, t_next, cfg)
-        history.append((t_next, corrected))
-        del history[:-_HISTORY]
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails only the guess
+            history.accept(t_next, corrected)
         return corrected, spent, residual
     m.domain(a_next, t_next, cfg)
     if depth <= 0:
         raise NoConvergence(
             f"correction failed at t={t_next:.6g} after {_MAX_HALVINGS} step halvings"
         )
-    del history[:-1]  # the halved interval starts from its left sample alone
+    history.restart()  # the halved interval starts from its left sample alone
     mid = _sample(path, 0.5 * (t_prev + t_next), a_prev.shape)
     _, it1, _ = _advance(m, path, cfg, history, prev, mid, depth - 1)
     corrected, it2, residual = _advance(m, path, cfg, history, mid, nxt, depth - 1)
@@ -570,7 +655,7 @@ def _samples(m: _FactorMap, path: PathSpec, cfg: ToleranceConfig):
     residual, spent = hs_norm(a - current.product()), 0
     if not m.certificate(a, current, residual, cfg):
         m.domain(a, 0.0, cfg)
-    history = [(0.0, current)]
+    history = _History(m, 0.0, current)
     for i in range(path.steps + 1):
         if i:
             nxt = _sample(path, i / path.steps, a.shape)
@@ -600,11 +685,12 @@ def track_qr(path: PathSpec, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> Track
 
     The start is seeded by direct factorization; each subsequent sample is
     reached by a prediction plus Newton correction. The prediction is the
-    quadratic through the last three accepted pairs, with q retracted onto
-    the group, and a derivative-solve step from the last pair where fewer
-    than three exist or that guess fails. On the invertible domain the factor
-    path is unique, so direct factorization at any sample is a valid oracle
-    for the tracked pair.
+    polynomial through the last accepted pairs (up to eight, of the order
+    whose terms keep shrinking, from the quadratic on), with q retracted
+    onto the group, and a derivative-solve step from the last pair where
+    fewer than three exist or that guess fails. On the invertible domain
+    the factor path is unique, so direct factorization at any sample is a
+    valid oracle for the tracked pair.
 
     Raises PathLeavesDomain when a sampled matrix is numerically singular,
     NoConvergence when a correction step fails even after halving.

@@ -90,35 +90,47 @@ def _rotation(theta):
     return np.array([[c, -s], [s, c]])
 
 
-def track_digest() -> str:
-    h = hashlib.sha256()
+def track_paths() -> list:
+    """(label, tracker, PathSpec) of every path the track digest hashes, in
+    its order; tests/track_counts.py counts the tracker's work on them."""
+    paths = []
     for n in (2, 5, 16, 40, 64):
         g = np.random.default_rng(n).standard_normal((n, n))
         square, spd = g / np.sqrt(n) + 3.0 * np.eye(n), g @ g.T + np.eye(n)
-        for track, end in ((track_qr, square), (track_cholesky, spd), (track_ldu, square)):
+        for k, track, end in (("qr", track_qr, square), ("cholesky", track_cholesky, spd),
+                              ("ldu", track_ldu, square)):
             path = PathSpec(lambda t, end=end, n=n: (1 - t) * np.eye(n) + t * end, steps=16)
-            _hash_report(h, track(path))
-    paths = [
-        (track_ldu, PathSpec(lambda t, eps=eps: np.array([[eps**t, 1.0], [1.0, 0.0]]), steps=64))
+            paths.append((f"{k} linear n={n}", track, path))
+    paths += [
+        (f"ldu [[eps^t, 1], [1, 0]] eps={eps:g}", track_ldu,
+         PathSpec(lambda t, eps=eps: np.array([[eps**t, 1.0], [1.0, 0.0]]), steps=64))
         for eps in (1e-2, 1e-6, 1e-8)
     ]
     # a step of each of these fails and halves, as on the eps = 1e-8 path
     s = np.diag([1.0, 2.0])
     paths += [
-        (track_qr, PathSpec(lambda t: _rotation(2.0 * t) @ s, steps=1)),
-        (track_qr, PathSpec(lambda t: _rotation(3.0 * t) @ s, steps=1)),
-        (track_qr, PathSpec(lambda t: s if t <= 0.5 else _rotation(3.0) @ s, steps=4)),
+        ("qr R(2t) S", track_qr, PathSpec(lambda t: _rotation(2.0 * t) @ s, steps=1)),
+        ("qr R(3t) S", track_qr, PathSpec(lambda t: _rotation(3.0 * t) @ s, steps=1)),
+        ("qr jump", track_qr, PathSpec(lambda t: s if t <= 0.5 else _rotation(3.0) @ s, steps=4)),
     ]
     # the step from I to `end` predicts a zero third pivot, although end's
     # pivots are 1, 1, 1, so it halves onto `mid`, whose first pivot is zero
     mid = np.array([[0.0, 0.0, 0.0], [0.0, 1.0, -1.0], [0.0, 0.0, 1.0]])
     end = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, -1.0], [0.0, 1.0, 0.0]])
     paths += [
-        (track_ldu, PathSpec(lambda t: np.array([[0.5 - t, 1.0], [1.0, 0.0]]), steps=4)),
-        (track_ldu, PathSpec(lambda t: {0.0: np.eye(3), 0.5: mid, 1.0: end}[t], steps=1)),
-        (track_ldu, PathSpec(lambda t: np.array([[t, 1.0], [1.0, 0.0]]), steps=4)),
+        ("ldu [[0.5 - t, 1], [1, 0]]", track_ldu,
+         PathSpec(lambda t: np.array([[0.5 - t, 1.0], [1.0, 0.0]]), steps=4)),
+        ("ldu onto a zero pivot", track_ldu,
+         PathSpec(lambda t: {0.0: np.eye(3), 0.5: mid, 1.0: end}[t], steps=1)),
+        ("ldu [[t, 1], [1, 0]]", track_ldu,
+         PathSpec(lambda t: np.array([[t, 1.0], [1.0, 0.0]]), steps=4)),
     ]
-    for track, path in paths:
+    return paths
+
+
+def track_digest() -> str:
+    h = hashlib.sha256()
+    for _, track, path in track_paths():
         try:
             _hash_report(h, track(path))
         except (NoConvergence, PathLeavesDomain) as exc:

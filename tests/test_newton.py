@@ -36,6 +36,8 @@ from factordiff import (
     track_qr,
 )
 from factordiff import frechet, newton
+from factordiff.cli import main as cli_main
+from factordiff.matrixio import save_matrix
 
 
 class TestRetractOrthogonal:
@@ -383,9 +385,10 @@ def test_ldu_halvings_sample_each_t_once():
 
 
 class TestQuadraticPredictor:
-    """From its third step on, a run guesses each sample by the quadratic
-    through the last three accepted factors, and takes the derivative step
-    only when that guess or its correction fails."""
+    """From its third step on, a run guesses each sample by the polynomial
+    through its last accepted factors (the quadratic through three at least,
+    up to newton._HISTORY), and takes the derivative step only when that
+    guess or its correction fails."""
 
     @pytest.mark.parametrize("n", [3, 20])
     def test_cholesky_affine_factor_path(self, n):
@@ -455,6 +458,151 @@ class TestQuadraticPredictor:
         # and the substep after the two to 0.03125 and 0.0625 extrapolates
         guesses = self._guesses(monkeypatch, lambda t: 2.0 - 2.0 * np.exp(-8.0 * t), steps=8)
         assert guesses[:3] == [(0.03125, True), (0.0625, True), (0.125, False)]
+
+
+# per map, how a coefficient of a synthetic factor path is cut from a
+# standard normal g, part by part: q stays constant, and every diagonal
+# that must stay positive moves up
+_COEFFICIENT = {
+    "qr": (None, lambda g: np.triu(g, 1) + np.diag(np.abs(g.diagonal()))),
+    "cholesky": (lambda g: np.tril(g, -1) + np.diag(np.abs(g.diagonal())),),
+    "ldu": (lambda g: np.tril(g, -1), lambda g: np.diag(np.abs(g.diagonal())), lambda g: np.triu(g, 1)),
+}
+_BASE = {"qr": (qr_factor, random_square), "cholesky": (cholesky_factor, random_spd),
+         "ldu": (ldu_factor, random_diag_shifted)}
+
+
+def _factor_path(kind, n, rng, phis):
+    """parts(t) of a synthetic factor path: each part of a kernel factor
+    plus sum_k phis[k](t) c_k, each c_k of unit norm in the part's
+    structure. Every call returns fresh arrays, for _own to take."""
+    factor, make = _BASE[kind]
+    base = newton._MAPS[kind].parts(factor(make(rng, n)))
+    coefficients = [
+        [] if cut is None else [c / hs_norm(c) for c in (cut(rng.standard_normal((n, n))) for _ in phis)]
+        for cut in _COEFFICIENT[kind]
+    ]
+
+    def parts(t):
+        return [sum((phi(t) * c for phi, c in zip(phis, cs)), b.copy()) for b, cs in zip(base, coefficients)]
+
+    return parts
+
+
+def _history(kind, knots, parts):
+    """A predictor history of _own-built factors at knots, oldest first."""
+    m = newton._MAPS[kind]
+    history = newton._History(m, knots[0], m.container._own(*parts(knots[0])))
+    for t in knots[1:]:
+        history.accept(t, m.container._own(*parts(t)))
+    return history
+
+
+def _lagrange(knots, parts, t):
+    """The polynomial through parts at knots, at t, by Lagrange's formula."""
+    weights = [np.prod([(t - s) / (k - s) for s in knots if s != k]) for k in knots]
+    return [sum(w * p for w, p in zip(weights, column)) for column in zip(*(parts(k) for k in knots))]
+
+
+def _slots(fac):
+    return [getattr(fac, name) for name in fac.__slots__]
+
+
+def _close(fac, expected, rel):
+    return all(hs_norm(g - e) <= rel * (1.0 + hs_norm(e)) for g, e in zip(_slots(fac), expected))
+
+
+@pytest.mark.parametrize("kind", ["qr", "cholesky", "ldu"])
+class TestExtrapolant:
+    """The predictor's history on synthetic factor paths: the Newton form
+    of the polynomial through the last accepted samples, its order chosen
+    by whether the terms keep shrinking."""
+
+    h = 1.0 / 64.0
+
+    @pytest.mark.parametrize("degree", [0, 1, 2, 3, 5, 7])
+    @pytest.mark.parametrize("spacing", ["equal", "halved"])
+    def test_reproduces_a_polynomial_path(self, kind, degree, spacing):
+        # ten samples: the oldest two drop out, and the newest eight carry a
+        # path of degree up to 7 to rounding; the quadratic through the last
+        # three missed the degree-3 to degree-7 paths by 5e-6 to 8e-6
+        rng = np.random.default_rng(degree)
+        parts = _factor_path(kind, 6, rng, [lambda t, k=k: t**k for k in range(1, degree + 1)])
+        h = self.h
+        knots = [k * h for k in range(10)] if spacing == "equal" else [
+            0.0, h, 2 * h, 3 * h, 3.5 * h, 4 * h, 5 * h, 5.5 * h, 5.75 * h, 6 * h
+        ]
+        history = _history(kind, knots, parts)
+        assert len(history.knots) == newton._HISTORY
+        t = knots[-1] + h
+        assert _close(history.guess(t, DEFAULT_TOLERANCES), parts(t), 1e-12)
+
+    def test_a_constant_history_returns_the_last_sample_bit_for_bit(self, kind):
+        # every divided difference is exactly zero; Lagrange weights in
+        # floating point sum to 1 only within an ulp
+        parts = _factor_path(kind, 6, np.random.default_rng(3), [])
+        history = _history(kind, [k * self.h for k in range(9)], parts)
+        guess = history.guess(9 * self.h, DEFAULT_TOLERANCES)
+        for g, e in zip(_slots(guess), parts(0.0)):
+            assert g.tobytes() == e.tobytes()
+
+    def test_the_order_stays_at_two_when_the_terms_grow(self, kind):
+        # a pole at t = -h/8, just before the knots 0, h, 2h and 3h: each
+        # term outgrows the one before, so the guess at 4h is the quadratic
+        # through the last three samples, not the cubic through all four
+        h = self.h
+        parts = _factor_path(kind, 6, np.random.default_rng(5), [lambda t: 1.0 / (t + h / 8.0)])
+        knots = [0.0, h, 2 * h, 3 * h]
+        guess = _history(kind, knots, parts).guess(4 * h, DEFAULT_TOLERANCES)
+        assert _close(guess, _lagrange(knots[1:], parts, 4 * h), 1e-12)
+        assert not _close(guess, _lagrange(knots, parts, 4 * h), 1e-3)
+
+    def test_a_halving_restarts_the_order(self, kind):
+        # after eight samples of a degree-5 path, a halving keeps only the
+        # left sample; with its midpoint and right end, the next guess is
+        # the quadratic through those three
+        h = self.h
+        parts = _factor_path(kind, 6, np.random.default_rng(7), [lambda t, k=k: t**k for k in range(1, 6)])
+        history = _history(kind, [k * h for k in range(8)], parts)
+        history.restart()
+        assert history.knots == [7 * h] and len(history.terms) == 1
+        for t in (7.5 * h, 8 * h):
+            history.accept(t, newton._MAPS[kind].container._own(*parts(t)))
+        guess = history.guess(9 * h, DEFAULT_TOLERANCES)
+        assert _close(guess, _lagrange([7 * h, 7.5 * h, 8 * h], parts, 9 * h), 1e-12)
+        assert not _close(guess, parts(9 * h), 1e-9)
+
+
+@pytest.mark.parametrize("kind", ["qr", "cholesky", "ldu"])
+def test_the_cli_family_tracks_across_its_kink(tmp_path, kind):
+    """The CLI's family through three samples is piecewise linear, kinked
+    at t = 1/2; at 15 steps the kink falls between the grid samples 7/15 and
+    8/15, and the extrapolant spans it. Every sample is still tracked, to
+    the corrector's tolerance, onto the kernel's factors."""
+    n = 16
+    g = np.random.default_rng(n).standard_normal((3, n, n))
+    if kind == "cholesky":
+        samples = [x @ x.T / n + np.eye(n) for x in g]
+    else:
+        samples = [x / np.sqrt(n) + 3.0 * np.eye(n) for x in g]
+    files = []
+    for i, s in enumerate(samples):
+        files.append(str(tmp_path / f"s{i}.csv"))
+        save_matrix(files[-1], s)
+    out = tmp_path / "track.csv"
+    args = ["track", "--kind", kind, "--family", "custom-samples", "--input", *files, "--steps", "15"]
+    assert cli_main([*args, "--output", str(out)]) == 0
+    rows = np.atleast_2d(np.loadtxt(out, delimiter=",", skiprows=1))
+    assert len(rows) == 16
+    factor = {"qr": qr_factor, "cholesky": cholesky_factor, "ldu": ldu_factor}[kind]
+    for row in rows:
+        t = row[0]
+        pos = 2.0 * t
+        i = min(int(pos), 1)
+        a = (1.0 - (pos - i)) * samples[i] + (pos - i) * samples[i + 1]
+        assert row[-1] <= DEFAULT_TOLERANCES.structural_tol * (1.0 + hs_norm(a))
+        norms = [hs_norm(p) for p in _slots(factor(a))]
+        assert np.allclose(row[1:-2], norms, rtol=1e-9, atol=0.0)
 
 
 @pytest.mark.parametrize("max_iters", [-1, 2.5])
@@ -599,10 +747,12 @@ def _inversions(monkeypatch):
 
 def test_a_sample_after_the_second_prepares_one_base(monkeypatch):
     """On a 16-step n = 64 linear path of the benchmark's family, every
-    sample from the third on corrects its extrapolated guess on one base
-    (LDU, the inverses of l and u formed once) or two (QR, r^-1 at the guess
-    and at its first iterate), and its certificate bounds the inverses from
-    that base without inverting the accepted factor."""
+    sample from the fourth on corrects its extrapolated guess on one base
+    (the inverses of l and u formed once for LDU, r^-1 for QR), and its
+    certificate bounds the inverses from that base without inverting the
+    accepted factor. The third sample's guess is the quadratic through
+    three, which QR corrects on two bases, at the guess and at its first
+    iterate."""
     a0, a1 = shifted_pair(np.random.default_rng(64), 64)
     path, inverted = PathSpec(lambda t: (1.0 - t) * a0 + t * a1, steps=16), _inversions(monkeypatch)
     for kind, triangles in (("qr", 1), ("ldu", 2)):
@@ -611,8 +761,9 @@ def test_a_sample_after_the_second_prepares_one_base(monkeypatch):
             per_sample.append(len(inverted))
             inverted.clear()
         # the seed's certificate forms the seed's base; sample 1 predicts on
-        # it, and sample 2 on sample 1's; each corrector prepares two bases
-        assert per_sample == [triangles * k for k in (1, 2, 3)] + [2] * 14
+        # it, and sample 2 on sample 1's; each corrector prepares two bases.
+        # With the quadratic alone, QR prepared two bases at every sample
+        assert per_sample == [triangles * k for k in (1, 2, 3)] + [2] + [triangles] * 13
 
 
 @pytest.mark.parametrize("kind", ["qr", "cholesky", "ldu"])
